@@ -224,19 +224,6 @@ Machine::run(Workload &workload)
     // $VCOMA_FASTPATH=0 measures the pristine event loop.
     const bool batchEvents = engine_.fastPathConfigured();
 
-    // Replay turbo (materialised streams only): per-CPU drain
-    // contexts with the fast filter's loop invariants pre-resolved.
-    // Disabled under the invariant checker, which must be credited
-    // per reference.
-    const bool drainable = materialised && batchEvents &&
-                           !checker_ && engine_.fastPathEnabled();
-    std::vector<CoherenceEngine::FastDrainCtx> drainCtxs =
-        drainable ? engine_.makeFastDrainCtxs()
-                  : std::vector<CoherenceEngine::FastDrainCtx>{};
-    // CPUs checked out of the ready heap by the replay drain below.
-    std::vector<CpuId> drainSet;
-    drainSet.reserve(numCpus);
-
     // Loop-invariant loads the optimiser cannot hoist itself because
     // engine_.access may alias the members through `this`.
     const Tick watchdogCycles = watchdogCycles_;
@@ -286,103 +273,9 @@ Machine::run(Workload &workload)
             VCOMA_ASSERT(!proc.done);
             VCOMA_ASSERT(when == proc.readyAt);
 
-            if (drainable && proc.cur != proc.end) {
-                // Replay turbo: CPUs are checked out of the event
-                // heap as they become the globally next event and
-                // drained in rotation, each run handed to the engine
-                // in one call with its loop invariants hoisted. The
-                // per-run bound keeps every drained dispatch below
-                // the runner-up event (checked-out or heap top) and
-                // below the next reference-bit decay point, so the
-                // dispatch order is exactly the heap's (readyAt, cpu)
-                // order; heap churn and loop-top bookkeeping are paid
-                // per blocking event, not per run.
-                drainSet.clear();
-                drainSet.push_back(cpu);
-                bool fellThrough = false;
-                for (;;) {
-                    // The next checked-out dispatch, in the heap's
-                    // lexicographic order.
-                    std::size_t m = 0;
-                    for (std::size_t i = 1; i < drainSet.size(); ++i) {
-                        if (std::make_pair(procs[drainSet[i]].readyAt,
-                                           drainSet[i]) <
-                            std::make_pair(procs[drainSet[m]].readyAt,
-                                           drainSet[m])) {
-                            m = i;
-                        }
-                    }
-                    const CpuId c = drainSet[m];
-                    Proc &pc = procs[c];
-                    // The globally next event might still be in the
-                    // heap: a drainable one joins the rotation,
-                    // anything else ends the session.
-                    if (!ready.empty() &&
-                        ready.top() < std::make_pair(pc.readyAt, c)) {
-                        const auto [topWhen, topCpu] = ready.top();
-                        if (topWhen >= nextDecay ||
-                            procs[topCpu].cur == procs[topCpu].end) {
-                            break;
-                        }
-                        ready.pop();
-                        drainSet.push_back(topCpu);
-                        continue;
-                    }
-                    if (pc.readyAt >= nextDecay)
-                        break;
-                    Tick limit = nextDecay - 1;
-                    for (std::size_t i = 0; i < drainSet.size(); ++i) {
-                        if (i == m)
-                            continue;
-                        const CpuId d = drainSet[i];
-                        const Tick td = procs[d].readyAt;
-                        limit = std::min(limit, c < d ? td : td - 1);
-                    }
-                    if (!ready.empty()) {
-                        const auto [topWhen, topCpu] = ready.top();
-                        limit = std::min(limit, c < topCpu ? topWhen
-                                                           : topWhen - 1);
-                    }
-                    const std::uint64_t n =
-                        engine_.fastDrainMaterialised(
-                            drainCtxs[c], c, pc.cur, pc.end,
-                            pc.readyAt, limit, busyScale,
-                            pc.stats.reads, pc.stats.writes,
-                            pc.stats.busy, pc.stats.locStall);
-                    if (n == 0) {
-                        // c's event cannot be fast-resolved. The
-                        // dispatched CPU's own blocker falls through
-                        // to the ordinary path right away; any other
-                        // CPU's goes back through the heap (it pops
-                        // first: it is the global minimum).
-                        fellThrough = c == cpu;
-                        break;
-                    }
-                    pc.stats.refs += n;
-                    pc.lastRef = pc.cur - 1;
-                    lastRetire = std::max(lastRetire, pc.readyAt);
-                }
-                for (const CpuId d : drainSet) {
-                    if (!(fellThrough && d == cpu))
-                        ready.emplace(procs[d].readyAt, d);
-                }
-                if (!fellThrough)
-                    break;
-            }
-
             const MemRef *next;
             if (materialised) {
-                if (proc.cur != proc.end) {
-                    next = proc.cur++;
-                    // The replay payload is sequential and mmapped:
-                    // ask for the block a few lines ahead so the
-                    // decode never waits on a page-cache read.
-#if defined(__GNUC__) || defined(__clang__)
-                    __builtin_prefetch(proc.cur + 10);
-#endif
-                } else {
-                    next = nullptr;
-                }
+                next = proc.cur != proc.end ? proc.cur++ : nullptr;
             } else {
                 next = proc.program.nextPtr();
             }

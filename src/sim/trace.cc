@@ -3,8 +3,8 @@
 #include <cstdlib>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -16,89 +16,10 @@ namespace
 
 constexpr const char *traceMagic = "vcoma-trace-v1";
 
-char
-kindChar(const MemRef &ref)
-{
-    switch (ref.kind) {
-      case MemRef::Kind::Mem:
-        return ref.type == RefType::Read ? 'R' : 'W';
-      case MemRef::Kind::Barrier:
-        return 'B';
-      case MemRef::Kind::LockAcquire:
-        return 'L';
-      case MemRef::Kind::LockRelease:
-        return 'U';
-    }
-    return '?';
-}
-
 } // namespace
 
-std::uint64_t
-recordTrace(Workload &workload, std::ostream &os)
-{
-    const unsigned P = workload.numThreads();
-    os << traceMagic << "\n";
-    os << "threads " << P << "\n";
-
-    std::vector<Generator<MemRef>> gens;
-    gens.reserve(P);
-    for (unsigned t = 0; t < P; ++t)
-        gens.push_back(workload.thread(t));
-
-    std::vector<bool> done(P, false);
-    std::vector<int> parkedAt(P, -1);
-    unsigned live = P;
-    std::uint64_t events = 0;
-
-    while (live > 0) {
-        bool progressed = false;
-        for (unsigned t = 0; t < P; ++t) {
-            if (done[t] || parkedAt[t] >= 0)
-                continue;
-            auto ref = gens[t].next();
-            progressed = true;
-            if (!ref) {
-                done[t] = true;
-                --live;
-                continue;
-            }
-            ++events;
-            os << t << " " << kindChar(*ref);
-            switch (ref->kind) {
-              case MemRef::Kind::Mem:
-                os << " " << ref->vaddr << " " << ref->work;
-                break;
-              case MemRef::Kind::Barrier:
-              case MemRef::Kind::LockAcquire:
-              case MemRef::Kind::LockRelease:
-                os << " " << ref->syncId;
-                break;
-            }
-            os << "\n";
-
-            if (ref->kind == MemRef::Kind::Barrier) {
-                parkedAt[t] = static_cast<int>(ref->syncId);
-                unsigned waiting = 0;
-                for (unsigned u = 0; u < P; ++u) {
-                    if (!done[u] && parkedAt[u] == parkedAt[t])
-                        ++waiting;
-                }
-                if (waiting == live) {
-                    for (unsigned u = 0; u < P; ++u)
-                        parkedAt[u] = -1;
-                }
-            }
-        }
-        if (!progressed && live > 0)
-            panic("recordTrace: barrier deadlock in workload '",
-                  workload.name(), "'");
-    }
-    return events;
-}
-
-TraceWorkload::TraceWorkload(std::istream &is, std::string name)
-    : name_(std::move(name))
+TextTrace
+parseTextTrace(std::istream &is)
 {
     // Parse line-by-line so every diagnostic can carry a line number,
     // and so garbage between or after events is an error rather than a
@@ -121,7 +42,8 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
             fatal("trace line ", lineNo, ": trailing garbage '", extra,
                   "' after thread count");
     }
-    perThread_.resize(threads);
+    TextTrace trace;
+    trace.perThread.resize(threads);
 
     VAddr lo = std::numeric_limits<VAddr>::max();
     VAddr hi = 0;
@@ -200,46 +122,14 @@ TraceWorkload::TraceWorkload(std::istream &is, std::string name)
         if (ls >> extra)
             fatal("trace line ", lineNo, ": trailing garbage '", extra,
                   "' after event");
-        perThread_[tid].push_back(ref);
+        trace.perThread[tid].push_back(ref);
     }
 
-    // One synthetic segment spanning every touched address, so
-    // footprint reporting and bounds checks keep working.
     if (hi > lo) {
-        space_ = AddressSpace(lo);
-        space_.alloc("trace.data", hi - lo, 1);
+        trace.base = lo;
+        trace.footprintBytes = hi - lo;
     }
-}
-
-std::string
-TraceWorkload::parameters() const
-{
-    std::uint64_t events = 0;
-    for (const auto &v : perThread_)
-        events += v.size();
-    return std::to_string(events) + " events, " +
-           std::to_string(perThread_.size()) + " threads";
-}
-
-unsigned
-TraceWorkload::numThreads() const
-{
-    return static_cast<unsigned>(perThread_.size());
-}
-
-Generator<MemRef>
-TraceWorkload::thread(unsigned tid)
-{
-    if (tid >= perThread_.size())
-        fatal("trace replay: no thread ", tid);
-    return replay(tid);
-}
-
-Generator<MemRef>
-TraceWorkload::replay(unsigned tid)
-{
-    for (const MemRef &ref : perThread_[tid])
-        co_yield ref;
+    return trace;
 }
 
 } // namespace vcoma

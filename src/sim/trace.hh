@@ -1,11 +1,12 @@
 /**
  * @file
- * Reference-trace recording and replay.
+ * The text grammar of reference traces.
  *
- * The workload kernels are execution-driven, but a recorded trace is
- * often more convenient: it can be inspected, diffed, archived, or
- * replayed against many machine configurations without re-running the
- * algorithm. The text format is one event per line:
+ * Simulations record and replay the packed binary format
+ * (sim/memref_pack.hh); the text form exists so that streams captured
+ * elsewhere or written by hand can be converted into it with
+ * `vcoma_trace convert`, and so `vcoma_trace dump` has something
+ * readable to print. The format is one event per line:
  *
  *     vcoma-trace-v1
  *     threads <N>
@@ -16,60 +17,39 @@
  *     <tid> U <id>                lock release
  *
  * Events of one thread appear in program order; threads may be
- * interleaved arbitrarily (the recorder interleaves them the way a
- * barrier-aware round-robin scheduler would). Addresses are decimal
- * or 0x-prefixed hex (never octal); blank lines and lines starting
- * with '#' are ignored, so hand-written and tool-exported traces can
- * carry comments.
+ * interleaved arbitrarily. Addresses are decimal or 0x-prefixed hex
+ * (never octal); blank lines and lines starting with '#' are ignored,
+ * so hand-written and tool-exported traces can carry comments.
  */
 
 #ifndef VCOMA_SIM_TRACE_HH
 #define VCOMA_SIM_TRACE_HH
 
+#include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/memref.hh"
-#include "workloads/workload.hh"
 
 namespace vcoma
 {
 
-/**
- * Drain @p workload with a barrier-aware round-robin interleaver and
- * write its trace to @p os.
- * @return total events recorded.
- */
-std::uint64_t recordTrace(Workload &workload, std::ostream &os);
-
-/** A workload that replays a previously recorded trace. */
-class TraceWorkload : public Workload
+/** A parsed text trace: the per-thread streams and their footprint. */
+struct TextTrace
 {
-  public:
-    /** Parse a trace from @p is; fatal() on malformed input. */
-    explicit TraceWorkload(std::istream &is, std::string name = "TRACE");
-
-    std::string name() const override { return name_; }
-    std::string parameters() const override;
-    unsigned numThreads() const override;
-    Generator<MemRef> thread(unsigned tid) override;
-    const AddressSpace &space() const override { return space_; }
-
-    /** Events of one thread (tests). */
-    const std::vector<MemRef> &
-    events(unsigned tid) const
-    {
-        return perThread_.at(tid);
-    }
-
-  private:
-    Generator<MemRef> replay(unsigned tid);
-
-    std::string name_;
-    AddressSpace space_;
-    std::vector<std::vector<MemRef>> perThread_;
+    /** Events of each thread, in program order, indexed by tid. */
+    std::vector<std::vector<MemRef>> perThread;
+    /** Lowest touched address (0 when no memory event exists). */
+    VAddr base = 0;
+    /** Bytes from base to the end of the highest touched word. */
+    std::uint64_t footprintBytes = 0;
 };
+
+/**
+ * Parse a text trace from @p is. fatal() on malformed input, with the
+ * offending line number in the message.
+ */
+TextTrace parseTextTrace(std::istream &is);
 
 } // namespace vcoma
 

@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "sim/memref_pack.hh"
@@ -34,18 +35,20 @@ convertTextTraceToPacked(std::istream &in, const std::string &outPath,
                          const std::string &key)
 {
     // The text parser owns the grammar (and its line-numbered
-    // diagnostics); the workload it yields carries the per-thread
-    // streams and the footprint of every touched address.
-    TraceWorkload text(in, name);
-    PackedTraceWriter writer(outPath, text.numThreads(), key,
-                             text.name(), text.parameters(),
-                             text.sharedBytes());
+    // diagnostics); the packed header records the footprint of every
+    // touched address.
+    const TextTrace text = parseTextTrace(in);
+    const auto threads = static_cast<unsigned>(text.perThread.size());
     std::uint64_t events = 0;
-    for (unsigned t = 0; t < text.numThreads(); ++t) {
-        for (const MemRef &ref : text.events(t)) {
+    for (const auto &stream : text.perThread)
+        events += stream.size();
+    PackedTraceWriter writer(outPath, threads, key, name,
+                             std::to_string(events) + " events, " +
+                                 std::to_string(threads) + " threads",
+                             text.footprintBytes);
+    for (unsigned t = 0; t < threads; ++t) {
+        for (const MemRef &ref : text.perThread[t])
             writer.append(t, ref);
-            ++events;
-        }
     }
     std::string error;
     if (!writer.finalize(&error))

@@ -8,7 +8,7 @@
  * consumed. ReplayWorkload maps a finished trace back in and serves
  * the streams as materialised arrays, so a replaying Machine::run
  * skips both the workload algorithm and the coroutine machinery: the
- * hot loop walks an mmapped MemRef array with software prefetch.
+ * hot loop walks an mmapped MemRef array.
  */
 
 #ifndef VCOMA_WORKLOADS_REPLAY_HH
@@ -48,7 +48,7 @@ class ReplayWorkload : public Workload
         return trace_.stream(tid);
     }
 
-    /** Coroutine view of the same stream (recordTrace() and tools). */
+    /** Coroutine view of the same stream, for thread() consumers. */
     Generator<MemRef> thread(unsigned tid) override;
 
     /** Experiment cache key the trace was recorded under. */

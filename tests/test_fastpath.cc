@@ -8,16 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
-#include "sim/trace.hh"
 #include "translation/system_builder.hh"
+#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 using namespace vcoma;
@@ -143,24 +146,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
 {
-    // Record a trace once, then replay it twice — fast path on and
-    // off — and require identical stats sheets. The replay goes
-    // through TraceWorkload's parser, so this also round-trips the
-    // trace text format.
-    WorkloadParams p;
-    p.threads = 4;
-    p.scale = 0.02;
-    auto recorded = makeWorkload("HOTSPOT", p);
-    std::ostringstream trace;
-    const std::uint64_t events = recordTrace(*recorded, trace);
-    ASSERT_GT(events, 0u);
+    // Record a packed trace once, then replay it twice — fast path on
+    // and off — and require identical stats sheets.
+    const std::string trace =
+        (std::filesystem::temp_directory_path() /
+         ("vcoma_test_fastpath_" + std::to_string(::getpid()) +
+          ".vctrace"))
+            .string();
+    {
+        WorkloadParams p;
+        p.threads = 4;
+        p.scale = 0.02;
+        auto live = makeWorkload("HOTSPOT", p);
+        RecordingWorkload recorder(*live, trace, "fastpath-trace");
+        Machine machine(tinyConfig(Scheme::VCOMA));
+        machine.run(recorder);
+        ASSERT_TRUE(recorder.finalize());
+    }
 
     auto replayOnce = [&](bool fastPath) {
         MachineConfig cfg = tinyConfig(Scheme::VCOMA);
         cfg.fastPath = fastPath;
         Machine machine(cfg);
-        std::istringstream is(trace.str());
-        TraceWorkload w(is);
+        ReplayWorkload w(trace);
         RunResult r;
         r.stats = machine.run(w);
         std::ostringstream dump;
@@ -173,6 +181,8 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     };
     const RunResult fast = replayOnce(true);
     const RunResult slow = replayOnce(false);
+    std::filesystem::remove(trace);
+    EXPECT_GT(fast.stats.totalRefs(), 0u);
     expectSameStats(fast.stats, slow.stats);
     EXPECT_EQ(fast.json, slow.json);
     EXPECT_EQ(fast.dump, slow.dump);

@@ -211,9 +211,9 @@ TEST(Replay, CarriesRecordedWorkloadIdentity)
 
 TEST(Replay, CoroutineViewMatchesMaterialisedStreams)
 {
-    // thread(tid) and stream(tid) must expose the same events: tools
-    // (recordTrace, the trace dumper) use the coroutine view while
-    // Machine::run consumes the spans.
+    // thread(tid) and stream(tid) must expose the same events:
+    // decorators such as RecordingWorkload use the coroutine view
+    // while Machine::run consumes the spans.
     TempDir dir;
     const std::string trace = (dir.path / "views.vctrace").string();
     MachineConfig cfg = tinyConfig(Scheme::VCOMA);

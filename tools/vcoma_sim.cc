@@ -3,25 +3,24 @@
  * vcoma_sim — the command-line front end of the simulator.
  *
  * Runs one workload (built-in kernel or recorded trace) on one machine
- * configuration and reports the stats sheet; can also record traces
- * and dump the full per-component statistics hierarchy.
+ * configuration and reports the stats sheet; can also record the run's
+ * packed trace and dump the full per-component statistics hierarchy.
  *
  *   vcoma_sim --workload FFT --scheme VCOMA --entries 8
  *   vcoma_sim --workload RADIX --scheme L0 --entries 16 --assoc 1
- *   vcoma_sim --workload BARNES --record barnes.trace
- *   vcoma_sim --replay barnes.trace --scheme L3 --dump-stats
+ *   vcoma_sim --workload BARNES --record barnes.vctrace
+ *   vcoma_sim --workload TRACE:barnes.vctrace --scheme L3 --dump-stats
  */
 
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "sim/machine.hh"
-#include "sim/trace.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
+#include "workloads/replay.hh"
 #include "workloads/workload.hh"
 
 using namespace vcoma;
@@ -32,7 +31,6 @@ namespace
 struct Options
 {
     std::string workload = "RADIX";
-    std::string replayPath;
     std::string recordPath;
     Scheme scheme = Scheme::VCOMA;
     unsigned entries = 8;
@@ -86,8 +84,8 @@ usage(int code)
         "  --seed N          deterministic seed\n"
         "  --untimed         do not charge translation-miss penalties\n"
         "  --raytrace-v2     page-aligned ray stacks (Figure 10 V2)\n"
-        "  --record FILE     write the reference trace and exit\n"
-        "  --replay FILE     simulate a recorded trace\n"
+        "  --record FILE     also write the run's packed trace to FILE\n"
+        "                    (replay it with --workload TRACE:FILE)\n"
         "  --dump-stats      print the per-component stats hierarchy\n"
         "  --stats-json FILE append the stats sheet as one JSONL line\n"
         "                    (same as VCOMA_STATS_JSON=FILE)\n"
@@ -144,8 +142,6 @@ parse(int argc, char **argv)
             opt.raytraceV2 = true;
         else if (arg == "--record")
             opt.recordPath = value(i);
-        else if (arg == "--replay")
-            opt.replayPath = value(i);
         else if (arg == "--dump-stats")
             opt.dumpStats = true;
         else if (arg == "--stats-json")
@@ -163,46 +159,18 @@ parse(int argc, char **argv)
     return opt;
 }
 
-std::unique_ptr<Workload>
-buildWorkload(const Options &opt)
-{
-    if (!opt.replayPath.empty()) {
-        std::ifstream in(opt.replayPath);
-        if (!in) {
-            std::cerr << "cannot open trace '" << opt.replayPath
-                      << "'\n";
-            std::exit(1);
-        }
-        return std::make_unique<TraceWorkload>(in);
-    }
-    WorkloadParams params;
-    params.threads = opt.nodes;
-    params.scale = opt.scale;
-    params.seed = opt.seed;
-    params.raytraceV2Layout = opt.raytraceV2;
-    return makeWorkload(opt.workload, params);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 try {
     const Options opt = parse(argc, argv);
-    auto workload = buildWorkload(opt);
-
-    if (!opt.recordPath.empty()) {
-        std::ofstream out(opt.recordPath);
-        if (!out) {
-            std::cerr << "cannot write '" << opt.recordPath << "'\n";
-            return 1;
-        }
-        const std::uint64_t events = recordTrace(*workload, out);
-        std::cout << "recorded " << events << " events from "
-                  << workload->name() << " to " << opt.recordPath
-                  << "\n";
-        return 0;
-    }
+    WorkloadParams params;
+    params.threads = opt.nodes;
+    params.scale = opt.scale;
+    params.seed = opt.seed;
+    params.raytraceV2Layout = opt.raytraceV2;
+    const auto workload = makeWorkload(opt.workload, params);
 
     // The exporters are wired to the environment (so every consumer —
     // bench binaries, the service — shares one switch); the CLI flags
@@ -220,7 +188,18 @@ try {
     cfg.seed = opt.seed;
     Machine machine(cfg);
 
-    const RunStats stats = machine.run(*workload);
+    RunStats stats;
+    if (opt.recordPath.empty()) {
+        stats = machine.run(*workload);
+    } else {
+        RecordingWorkload recorder(*workload, opt.recordPath,
+                                   opt.workload);
+        stats = machine.run(recorder);
+        if (!recorder.finalize())
+            return 1;
+        std::cerr << "recorded " << workload->name() << " to "
+                  << opt.recordPath << "\n";
+    }
 
     std::cout << "workload     : " << stats.workload << " ("
               << stats.parameters << ")\n"

@@ -7,8 +7,10 @@ Commands:
   collect SPEC    re-collect an existing JSONL into results.json
   render SPEC     re-render figures from an existing results.json
   dashboard       build the BENCH_*.json history dashboard alone
-  check-stats     (vcoma_sweep.checks.stats -- ex check_stats_json.py)
-  check-perf      (vcoma_sweep.checks.perf -- ex check_perf_trajectory.py)
+  check-stats     validate stats JSONL, traces and reports
+                  (vcoma_sweep.checks.stats)
+  check-perf      gate BENCH_perf_core.json against the baseline
+                  (vcoma_sweep.checks.perf)
 
 `run` is the push-button paper pipeline:
 

@@ -4,7 +4,7 @@ Reads BENCH_perf_core.json (written by bench/bench_perf_core), checks
 that every expected metric is present and finite -- a `null` metric
 means a non-finite rate leaked into the report, which is exactly the
 corruption the bench's trial-clamping exists to prevent -- and
-compares the *ratio* metrics (speedup, replay_speedup) against
+compares the *ratio* metrics (speedup) against
 bench/perf_baseline.json.
 
 Only ratios are gated: both sides of each ratio run in the same
@@ -13,7 +13,7 @@ refs/sec on shared CI runners is hopelessly noisy.  A ratio below
 baseline * (1 - tolerance) fails the check.  Absolute rates are
 appended to the trajectory file for trending, never gated.
 
-Usage (module form; `tools/check_perf_trajectory.py` is a shim):
+Usage (from the repository root, with PYTHONPATH=tools):
     python3 -m vcoma_sweep check-perf
         [--report BENCH_perf_core.json]
         [--baseline bench/perf_baseline.json]
@@ -30,10 +30,8 @@ EXPECTED_METRICS = (
     "refs_per_sec_fast",
     "refs_per_sec_replay",
     "speedup",
-    "replay_speedup",
     "kvlookup_refs_per_sec_live",
     "kvlookup_refs_per_sec_replay",
-    "kvlookup_replay_speedup",
 )
 
 

@@ -1,6 +1,6 @@
 """Validate the observability outputs of a vcoma run.
 
-Usage (module form; `tools/check_stats_json.py` is a shim onto this):
+Usage (from the repository root, with PYTHONPATH=tools):
     python3 -m vcoma_sweep check-stats STATS.jsonl
         [--trace TRACE.json] [--bench-glob 'BENCH_*.json']
         [--require-vcoma] [--service-stats FILE]

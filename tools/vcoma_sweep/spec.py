@@ -18,7 +18,7 @@ A spec is a JSON document:
         }
       ],
       "figures": [
-        {"file": "fig10.svg", "type": "miss_curves",
+        {"file": "fig8.svg", "type": "miss_curves",
          "sweep": "miss_curves", "x": "entries"}
       ]
     }

@@ -7,20 +7,23 @@ import os
 import tempfile
 import unittest
 
+from vcoma_sweep.checks import perf as check_perf
 from vcoma_sweep.checks import stats as check_stats
 
-FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       "fixtures", "smoke_results.jsonl")
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURE = os.path.join(HERE, "fixtures", "smoke_results.jsonl")
+PERF_BASELINE = os.path.join(HERE, "..", "..", "..", "bench",
+                             "perf_baseline.json")
 
 
-def run_main(argv):
-    """Run check_stats.main, capturing (exit_code, stdout, stderr)."""
+def run_main(argv, main=check_stats.main):
+    """Run a checker's main, capturing (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     code = 0
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         try:
-            check_stats.main(argv)
+            main(argv)
         except SystemExit as e:
             code = e.code or 0
     return code, out.getvalue(), err.getvalue()
@@ -87,21 +90,29 @@ class BenchCheckTest(unittest.TestCase):
         self.assertIn("git stamp", err)
 
 
-class ShimTest(unittest.TestCase):
-    """The old tools/ entry points must still work."""
+class PerfCheckTest(unittest.TestCase):
+    """check-perf against the committed bench/perf_baseline.json."""
 
-    def test_shims_import_and_expose_main(self):
-        import importlib.util
-        here = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        for shim in ("check_stats_json.py",
-                     "check_perf_trajectory.py"):
-            path = os.path.join(here, shim)
-            spec = importlib.util.spec_from_file_location(
-                shim[:-3], path)
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            self.assertTrue(callable(mod.main), shim)
+    def check(self, **over):
+        metrics = {name: 1.0e6 for name in check_perf.EXPECTED_METRICS}
+        metrics["speedup"] = 2.5
+        metrics.update(over)
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "BENCH_perf_core.json")
+            with open(p, "w", encoding="utf-8") as f:
+                json.dump({"bench": "perf_core", "metrics": metrics}, f)
+            return run_main(["--report", p, "--baseline", PERF_BASELINE],
+                            main=check_perf.main)
+
+    def test_expected_metrics_pass_every_gate(self):
+        code, out, err = self.check()
+        self.assertEqual(code, 0, err)
+        self.assertIn("perf trajectory OK", out)
+
+    def test_speedup_regression_fails(self):
+        code, _out, err = self.check(speedup=1.0)
+        self.assertEqual(code, 1)
+        self.assertIn("speedup regressed", err)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
  * @file
  * vcoma_trace — inspect, validate and convert reference traces.
  *
- * The packed binary format (mmapped by ReplayWorkload and the
- * "TRACE:<path>" workload spelling) is write-once and checksummed;
- * this tool is the doorway for streams that were captured elsewhere
- * or written by hand in the text grammar of sim/trace.hh:
+ * The packed binary format (written by `vcoma_sim --record`, mmapped
+ * by ReplayWorkload and the "TRACE:<path>" workload spelling) is
+ * write-once and checksummed; this tool is the doorway for streams
+ * that were captured elsewhere or written by hand in the text grammar
+ * of sim/trace.hh:
  *
  *   vcoma_trace inspect  trace.vctrace
  *   vcoma_trace validate trace.vctrace
