@@ -19,6 +19,10 @@ ShadowBank::ShadowBank(std::uint64_t seed,
     std::uint64_t n = 0;
     members_.reserve(sizes.size() * 2);
     for (unsigned entries : sizes) {
+        // The same-page memo in access() relies on every member
+        // holding the last page, which a 0-entry member never does.
+        if (entries == 0)
+            fatal("shadow bank member sizes must be at least 1 entry");
         members_.emplace_back(entries, /*assoc=*/0, seed + 31 * ++n,
                               indexShift);
         members_.emplace_back(entries, /*assoc=*/1, seed + 31 * ++n,
@@ -29,6 +33,12 @@ ShadowBank::ShadowBank(std::uint64_t seed,
 void
 ShadowBank::access(PageNum vpn, StreamClass cls)
 {
+    if (vpn == last_) {
+        for (auto &tlb : members_)
+            tlb.countHit(cls);
+        return;
+    }
+    last_ = vpn;
     for (auto &tlb : members_)
         tlb.access(vpn, cls);
 }

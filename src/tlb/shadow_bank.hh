@@ -34,14 +34,18 @@ class ShadowBank
   public:
     /**
      * @param seed base seed (each member derives its own stream)
-     * @param sizes entry counts to instantiate; defaults to
-     *              shadowSizes()
+     * @param sizes entry counts to instantiate, each at least 1;
+     *              defaults to shadowSizes()
      */
     explicit ShadowBank(std::uint64_t seed,
                         const std::vector<unsigned> &sizes = shadowSizes(),
                         unsigned indexShift = 0);
 
-    /** Feed one reference to every member TLB. */
+    /**
+     * Feed one reference to every member TLB. Members change only
+     * here, so a repeat of the previous page hits in every member and
+     * just bumps their access counters.
+     */
     void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
 
     /** Find the member with @p entries and associativity @p assoc. */
@@ -56,6 +60,8 @@ class ShadowBank
      * indirection each) matters on the per-reference shadow path.
      */
     std::vector<Tlb> members_;
+    /** Page of the previous access(): resident in every member. */
+    PageNum last_ = Tlb::noVpn;
 };
 
 /**

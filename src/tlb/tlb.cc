@@ -20,11 +20,12 @@ Tlb::Tlb(unsigned entries, unsigned assoc, std::uint64_t seed,
         return;
     }
     if (assoc_ == 0) {
-        faSlots_.assign(entries_, noVpn);
-        faMap_.reserve(entries_ * 2);
+        const unsigned indexBits = ceilLog2(entries_) + 1;
+        faHashShift_ = 64 - indexBits;
+        faIndex_.resize(std::size_t{1} << indexBits);
+        faSlots_.resize(entries_);
         faFree_.reserve(entries_);
-        for (unsigned i = 0; i < entries_; ++i)
-            faFree_.push_back(entries_ - 1 - i);
+        resetFullyAssociative();
     } else {
         if (entries_ % assoc_ != 0)
             fatal("TLB entries (", entries_, ") not divisible by assoc (",
@@ -34,6 +35,52 @@ Tlb::Tlb(unsigned entries, unsigned assoc, std::uint64_t seed,
             fatal("TLB set count must be a power of two");
         saTags_.assign(entries_, noVpn);
     }
+}
+
+void
+Tlb::resetFullyAssociative()
+{
+    std::fill(faIndex_.begin(), faIndex_.end(), IndexEntry{noVpn, 0});
+    std::fill(faSlots_.begin(), faSlots_.end(), noVpn);
+    faFree_.clear();
+    for (unsigned i = 0; i < entries_; ++i)
+        faFree_.push_back(entries_ - 1 - i);
+}
+
+std::size_t
+Tlb::indexHome(PageNum vpn) const
+{
+    // Fibonacci hashing: the top bits of vpn * 2^64/phi.
+    return static_cast<std::size_t>((vpn * 0x9e3779b97f4a7c15ULL) >>
+                                    faHashShift_);
+}
+
+std::size_t
+Tlb::indexFind(PageNum vpn) const
+{
+    const std::size_t mask = faIndex_.size() - 1;
+    std::size_t i = indexHome(vpn);
+    while (faIndex_[i].vpn != vpn && faIndex_[i].vpn != noVpn)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+Tlb::indexErase(std::size_t hole)
+{
+    // Backward-shift deletion: pull later entries of the probe run
+    // into the hole when it lies between their home and their
+    // position, so no lookup ever has to skip a tombstone.
+    const std::size_t mask = faIndex_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; faIndex_[j].vpn != noVpn;
+         j = (j + 1) & mask) {
+        const std::size_t home = indexHome(faIndex_[j].vpn);
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            faIndex_[hole] = faIndex_[j];
+            hole = j;
+        }
+    }
+    faIndex_[hole].vpn = noVpn;
 }
 
 std::string
@@ -53,9 +100,9 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
         *evictedOut = noVpn;
     if (entries_ == 0)
         return false;
+    mru_ = vpn;
     if (assoc_ == 0) {
-        auto it = faMap_.find(vpn);
-        if (it != faMap_.end())
+        if (faIndex_[indexFind(vpn)].vpn == vpn)
             return true;
         // Fill: an empty slot if one exists, else random replacement
         // (paper Section 5.1).
@@ -67,10 +114,12 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
             slot = static_cast<unsigned>(rng_.below(entries_));
             if (evictedOut)
                 *evictedOut = faSlots_[slot];
-            faMap_.erase(faSlots_[slot]);
+            indexErase(indexFind(faSlots_[slot]));
         }
         faSlots_[slot] = vpn;
-        faMap_[vpn] = slot;
+        // Probe again: the erase above may have emptied a position
+        // earlier in vpn's run.
+        faIndex_[indexFind(vpn)] = {vpn, slot};
         return false;
     }
 
@@ -98,7 +147,14 @@ Tlb::lookupAndFill(PageNum vpn, PageNum *evictedOut)
 bool
 Tlb::access(PageNum vpn, StreamClass cls, PageNum *evictedOut)
 {
-    const bool hit = lookupAndFill(vpn, evictedOut);
+    bool hit;
+    if (vpn == mru_) {
+        if (evictedOut)
+            *evictedOut = noVpn;
+        hit = true;
+    } else {
+        hit = lookupAndFill(vpn, evictedOut);
+    }
     if (cls == StreamClass::Demand) {
         ++demandAccesses;
         if (!hit)
@@ -117,7 +173,7 @@ Tlb::contains(PageNum vpn) const
     if (entries_ == 0)
         return false;
     if (assoc_ == 0)
-        return faMap_.count(vpn) != 0;
+        return faIndex_[indexFind(vpn)].vpn == vpn;
     const unsigned set = static_cast<unsigned>(
         (vpn >> indexShift_) & (numSets_ - 1));
     const PageNum *base = &saTags_[static_cast<std::size_t>(set) * assoc_];
@@ -133,13 +189,16 @@ Tlb::invalidate(PageNum vpn)
 {
     if (entries_ == 0)
         return false;
+    if (vpn == mru_)
+        mru_ = noVpn;
     if (assoc_ == 0) {
-        auto it = faMap_.find(vpn);
-        if (it == faMap_.end())
+        const std::size_t pos = indexFind(vpn);
+        if (faIndex_[pos].vpn != vpn)
             return false;
-        faFree_.push_back(it->second);
-        faSlots_[it->second] = noVpn;
-        faMap_.erase(it);
+        const unsigned slot = faIndex_[pos].slot;
+        faFree_.push_back(slot);
+        faSlots_[slot] = noVpn;
+        indexErase(pos);
         return true;
     }
     const unsigned set = static_cast<unsigned>(
@@ -186,12 +245,9 @@ Tlb::flush()
 {
     if (entries_ == 0)
         return;
+    mru_ = noVpn;
     if (assoc_ == 0) {
-        faMap_.clear();
-        std::fill(faSlots_.begin(), faSlots_.end(), noVpn);
-        faFree_.clear();
-        for (unsigned i = 0; i < entries_; ++i)
-            faFree_.push_back(entries_ - 1 - i);
+        resetFullyAssociative();
     } else {
         std::fill(saTags_.begin(), saTags_.end(), noVpn);
     }

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -62,6 +61,21 @@ class Tlb
      */
     bool access(PageNum vpn, StreamClass cls = StreamClass::Demand,
                 PageNum *evictedOut = nullptr);
+
+    /**
+     * Count a hit on @p cls without a lookup. For callers that know
+     * the page is resident because it was the last one accessed and
+     * nothing has been invalidated or flushed since (ShadowBank's
+     * same-page memo).
+     */
+    void
+    countHit(StreamClass cls)
+    {
+        if (cls == StreamClass::Demand)
+            ++demandAccesses;
+        else
+            ++writebackAccesses;
+    }
 
     /** Presence probe without statistics or replacement effects. */
     bool contains(PageNum vpn) const;
@@ -111,7 +125,10 @@ class Tlb
     /** Register the counters on @p g as <prefix>demandAccesses etc. */
     void addStats(StatGroup &g, const std::string &prefix) const;
 
-    /** Sentinel "no page" value (also the empty-slot tag). */
+    /**
+     * Sentinel "no page" value (also the empty-slot tag); never a
+     * valid argument to access().
+     */
     static constexpr PageNum noVpn = ~PageNum{0};
 
   private:
@@ -120,9 +137,26 @@ class Tlb
     unsigned indexShift_;
     Rng rng_;
 
-    // Fully associative implementation: O(1) hash lookup plus a slot
-    // vector for random victim selection.
-    std::unordered_map<PageNum, unsigned> faMap_;
+    /**
+     * Same-page memo: the page of the last lookup. A fill always
+     * leaves its page resident and only invalidate() and flush() drop
+     * entries, so until one of those resets it, accessing mru_ again
+     * is a hit that changes no state. Stays noVpn for a 0-entry TLB.
+     */
+    PageNum mru_ = noVpn;
+
+    // Fully associative implementation: faSlots_ holds the resident
+    // pages (victims are drawn by rng_ over its slots, so results do
+    // not depend on how the index is laid out); faIndex_ maps
+    // vpn -> slot as an open-addressed table of power-of-two size at
+    // most half full, with linear probing and backward-shift erase.
+    struct IndexEntry
+    {
+        PageNum vpn;
+        unsigned slot;
+    };
+    std::vector<IndexEntry> faIndex_;
+    unsigned faHashShift_ = 0;
     std::vector<PageNum> faSlots_;
     std::vector<unsigned> faFree_;
 
@@ -130,6 +164,12 @@ class Tlb
     std::vector<PageNum> saTags_;
     unsigned numSets_ = 0;
 
+    /** First index position probed for @p vpn. */
+    std::size_t indexHome(PageNum vpn) const;
+    /** Index position holding @p vpn, or the empty one ending its probe. */
+    std::size_t indexFind(PageNum vpn) const;
+    void indexErase(std::size_t pos);
+    void resetFullyAssociative();
     bool lookupAndFill(PageNum vpn, PageNum *evictedOut);
 };
 

@@ -623,11 +623,21 @@ TEST(FarmFailover, WorkerSigkilledMidSweepStillByteIdentical)
 
     // The farm noticed: the dead worker is evicted, and at least one
     // job needed the failover path (or was routed around the corpse).
-    bool sawDead = false;
-    for (const auto &w : router.workerStatus())
-        if (w.endpoint == w1)
-            sawDead = !w.alive;
-    EXPECT_TRUE(sawDead);
+    // Eviction is the heartbeat thread's job, and the sweep can finish
+    // before it has missed enough beats, so wait for it as the
+    // heartbeat test does.
+    auto deadWorkerEvicted = [&] {
+        for (const auto &w : router.workerStatus())
+            if (w.endpoint == w1)
+                return !w.alive;
+        return false;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!deadWorkerEvicted() &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(deadWorkerEvicted());
 
     ServiceClient admin(router.boundEndpoint());
     EXPECT_TRUE(admin.shutdown());

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "tlb/shadow_bank.hh"
@@ -205,6 +210,54 @@ TEST(ShadowBank, FeedsAllMembers)
     }
 }
 
+TEST(ShadowBank, RejectsZeroSizedMember)
+{
+    EXPECT_THROW(ShadowBank(1, {8, 0, 16}), FatalError);
+    EXPECT_NO_THROW(ShadowBank(1, {1, 4}));
+}
+
+/**
+ * The bank's same-page memo skips the member lookups on a repeated
+ * page; standalone Tlbs seeded the way the bank seeds its members
+ * must count exactly the same.
+ */
+TEST(ShadowBank, MemoMatchesStandaloneMembers)
+{
+    const std::uint64_t seed = 77;
+    ShadowBank bank(seed);
+    std::vector<Tlb> solo;
+    std::uint64_t n = 0;
+    for (unsigned entries : shadowSizes()) {
+        solo.emplace_back(entries, 0, seed + 31 * ++n);
+        solo.emplace_back(entries, 1, seed + 31 * ++n);
+    }
+    ASSERT_EQ(solo.size(), 14u);
+    ASSERT_EQ(bank.members().size(), solo.size());
+
+    Rng rng(5);
+    for (int i = 0; i < 20000;) {
+        const PageNum vpn = rng.below(1200);
+        const int run = 1 + static_cast<int>(rng.below(6));
+        for (int r = 0; r < run; ++r, ++i) {
+            const StreamClass cls = rng.below(4) == 0
+                                        ? StreamClass::Writeback
+                                        : StreamClass::Demand;
+            bank.access(vpn, cls);
+            for (Tlb &tlb : solo)
+                tlb.access(vpn, cls);
+        }
+    }
+    for (std::size_t m = 0; m < solo.size(); ++m) {
+        const Tlb &a = bank.members()[m];
+        const Tlb &b = solo[m];
+        EXPECT_EQ(a.demandAccesses.value(), b.demandAccesses.value()) << m;
+        EXPECT_EQ(a.demandMisses.value(), b.demandMisses.value()) << m;
+        EXPECT_EQ(a.writebackAccesses.value(), b.writebackAccesses.value())
+            << m;
+        EXPECT_EQ(a.writebackMisses.value(), b.writebackMisses.value()) << m;
+    }
+}
+
 TEST(ShadowBank, SumAcrossBanks)
 {
     std::vector<ShadowBank> banks;
@@ -281,3 +334,276 @@ TEST(TlbIndexShift, FullyAssociativeUnaffected)
     }
     EXPECT_EQ(a.misses(), b.misses());
 }
+
+// ---------------------------------------------------------------------
+// Differential test against a reference model.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Reference model: the Tlb as it was before the same-page memo and
+ * the flat fully associative index, with an unordered_map from vpn to
+ * slot and no memo. Tlb must agree with it on every operation.
+ */
+class RefTlb
+{
+  public:
+    RefTlb(unsigned entries, unsigned assoc, std::uint64_t seed,
+           unsigned indexShift)
+        : entries_(entries), assoc_(assoc), indexShift_(indexShift),
+          rng_(seed)
+    {
+        if (entries_ == 0)
+            return;
+        if (assoc_ == 0) {
+            faSlots_.assign(entries_, Tlb::noVpn);
+            resetFree();
+        } else {
+            numSets_ = entries_ / assoc_;
+            saTags_.assign(entries_, Tlb::noVpn);
+        }
+    }
+
+    bool
+    access(PageNum vpn, StreamClass cls, PageNum *evictedOut)
+    {
+        const bool hit = lookupAndFill(vpn, evictedOut);
+        if (cls == StreamClass::Demand) {
+            ++demandAccesses;
+            demandMisses += !hit;
+        } else {
+            ++writebackAccesses;
+            writebackMisses += !hit;
+        }
+        return hit;
+    }
+
+    bool
+    contains(PageNum vpn) const
+    {
+        if (entries_ == 0)
+            return false;
+        if (assoc_ == 0)
+            return faMap_.count(vpn) != 0;
+        const PageNum *base = &saTags_[setBase(vpn)];
+        return std::find(base, base + assoc_, vpn) != base + assoc_;
+    }
+
+    bool
+    invalidate(PageNum vpn)
+    {
+        if (entries_ == 0)
+            return false;
+        if (assoc_ == 0) {
+            auto it = faMap_.find(vpn);
+            if (it == faMap_.end())
+                return false;
+            faFree_.push_back(it->second);
+            faSlots_[it->second] = Tlb::noVpn;
+            faMap_.erase(it);
+            return true;
+        }
+        PageNum *base = &saTags_[setBase(vpn)];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (base[w] == vpn) {
+                base[w] = Tlb::noVpn;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        faMap_.clear();
+        std::fill(faSlots_.begin(), faSlots_.end(), Tlb::noVpn);
+        std::fill(saTags_.begin(), saTags_.end(), Tlb::noVpn);
+        resetFree();
+    }
+
+    std::vector<PageNum>
+    sortedEntries() const
+    {
+        std::vector<PageNum> out;
+        for (PageNum vpn : assoc_ == 0 ? faSlots_ : saTags_) {
+            if (vpn != Tlb::noVpn)
+                out.push_back(vpn);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    std::uint64_t demandAccesses = 0;
+    std::uint64_t demandMisses = 0;
+    std::uint64_t writebackAccesses = 0;
+    std::uint64_t writebackMisses = 0;
+
+  private:
+    unsigned entries_;
+    unsigned assoc_;
+    unsigned indexShift_;
+    Rng rng_;
+    std::unordered_map<PageNum, unsigned> faMap_;
+    std::vector<PageNum> faSlots_;
+    std::vector<unsigned> faFree_;
+    std::vector<PageNum> saTags_;
+    unsigned numSets_ = 0;
+
+    void
+    resetFree()
+    {
+        faFree_.clear();
+        if (assoc_ != 0)
+            return;
+        for (unsigned i = 0; i < entries_; ++i)
+            faFree_.push_back(entries_ - 1 - i);
+    }
+
+    std::size_t
+    setBase(PageNum vpn) const
+    {
+        const auto set = static_cast<unsigned>((vpn >> indexShift_) &
+                                               (numSets_ - 1));
+        return static_cast<std::size_t>(set) * assoc_;
+    }
+
+    bool
+    lookupAndFill(PageNum vpn, PageNum *evictedOut)
+    {
+        *evictedOut = Tlb::noVpn;
+        if (entries_ == 0)
+            return false;
+        if (assoc_ == 0) {
+            if (faMap_.count(vpn))
+                return true;
+            unsigned slot;
+            if (!faFree_.empty()) {
+                slot = faFree_.back();
+                faFree_.pop_back();
+            } else {
+                slot = static_cast<unsigned>(rng_.below(entries_));
+                *evictedOut = faSlots_[slot];
+                faMap_.erase(faSlots_[slot]);
+            }
+            faSlots_[slot] = vpn;
+            faMap_[vpn] = slot;
+            return false;
+        }
+        PageNum *base = &saTags_[setBase(vpn)];
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (base[w] == vpn)
+                return true;
+        }
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (base[w] == Tlb::noVpn) {
+                base[w] = vpn;
+                return false;
+            }
+        }
+        const auto victim = static_cast<unsigned>(rng_.below(assoc_));
+        *evictedOut = base[victim];
+        base[victim] = vpn;
+        return false;
+    }
+};
+
+std::vector<PageNum>
+sortedEntries(const Tlb &tlb)
+{
+    std::vector<PageNum> out;
+    tlb.forEachEntry([&](PageNum vpn) { out.push_back(vpn); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+struct DiffParam
+{
+    unsigned entries;
+    unsigned assoc;
+    unsigned indexShift;
+};
+
+std::string
+diffParamName(const ::testing::TestParamInfo<DiffParam> &info)
+{
+    const DiffParam &p = info.param;
+    return "E" + std::to_string(p.entries) + "A" + std::to_string(p.assoc) +
+           "S" + std::to_string(p.indexShift);
+}
+
+std::vector<DiffParam>
+diffParams()
+{
+    std::vector<DiffParam> out;
+    for (unsigned entries : {0u, 1u, 2u, 3u, 8u, 64u, 512u}) {
+        for (unsigned assoc : {0u, 1u, 2u, 4u}) {
+            // Set-associative geometries need a power-of-two set count.
+            if (assoc != 0 &&
+                (entries % assoc != 0 || !isPowerOf2(entries / assoc)))
+                continue;
+            for (unsigned shift : {0u, 5u})
+                out.push_back({entries, assoc, shift});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+class TlbDifferential : public ::testing::TestWithParam<DiffParam>
+{
+};
+
+/**
+ * Random mixes of access (both stream classes), invalidate, contains
+ * and flush over a page range a few times the TLB size, with frequent
+ * repeats of the previous page so the same-page memo and its resets
+ * are exercised. Every result, eviction, counter and the resident set
+ * must match the reference after every operation.
+ */
+TEST_P(TlbDifferential, MatchesReferenceModel)
+{
+    const DiffParam p = GetParam();
+    const std::uint64_t seed = 1000 * p.entries + 10 * p.assoc + p.indexShift;
+    Tlb tlb(p.entries, p.assoc, seed, p.indexShift);
+    RefTlb ref(p.entries, p.assoc, seed, p.indexShift);
+    Rng rng(seed);
+    // Pages vary in their high bits too, so both the hash and the
+    // shifted set index see varied inputs.
+    const std::uint64_t range = 3 * std::max(p.entries, 4u);
+    PageNum last = 0;
+    for (int op = 0; op < 12000; ++op) {
+        const PageNum vpn = rng.below(100) < 40
+                                ? last
+                                : rng.below(range) * 37 + (rng.below(2) << 40);
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 80) {
+            const StreamClass cls = rng.below(3) == 0 ? StreamClass::Writeback
+                                                      : StreamClass::Demand;
+            PageNum evA = 0;
+            PageNum evB = 0;
+            ASSERT_EQ(tlb.access(vpn, cls, &evA), ref.access(vpn, cls, &evB))
+                << "op " << op;
+            ASSERT_EQ(evA, evB) << "op " << op;
+            last = vpn;
+        } else if (kind < 92) {
+            ASSERT_EQ(tlb.invalidate(vpn), ref.invalidate(vpn)) << "op " << op;
+        } else if (kind < 99) {
+            ASSERT_EQ(tlb.contains(vpn), ref.contains(vpn)) << "op " << op;
+        } else {
+            tlb.flush();
+            ref.flush();
+        }
+        ASSERT_EQ(tlb.demandAccesses.value(), ref.demandAccesses);
+        ASSERT_EQ(tlb.demandMisses.value(), ref.demandMisses);
+        ASSERT_EQ(tlb.writebackAccesses.value(), ref.writebackAccesses);
+        ASSERT_EQ(tlb.writebackMisses.value(), ref.writebackMisses);
+        ASSERT_EQ(sortedEntries(tlb), ref.sortedEntries()) << "op " << op;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, TlbDifferential,
+                         ::testing::ValuesIn(diffParams()), diffParamName);
