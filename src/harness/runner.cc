@@ -133,15 +133,6 @@ ExperimentConfig::key() const
 Runner::Runner(std::string cacheDir)
     : cacheDir_(std::move(cacheDir)), traceDir_(envTraceDir())
 {
-    // Multi-tenant farms: $VCOMA_CACHE_TENANT namespaces this
-    // runner's entries into a per-tenant subdirectory with its own
-    // pruning budget, so one client's sweep can never evict another
-    // tenant's warm results. The global budget keeps bounding the
-    // shared root (pruning is non-recursive, so it never reaches
-    // into tenant subdirectories either way).
-    const std::string tenant = envCacheTenant();
-    if (!cacheDir_.empty() && !tenant.empty())
-        cacheDir_ += "/" + tenant;
     if (!cacheDir_.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cacheDir_, ec);
@@ -152,16 +143,8 @@ Runner::Runner(std::string cacheDir)
         }
     }
     if (!cacheDir_.empty()) {
-        if (tenant.empty()) {
-            if (const std::uint64_t maxBytes = envCacheMaxBytes())
-                pruneCache(cacheDir_, maxBytes);
-        } else {
-            std::uint64_t maxBytes = envCacheTenantMaxBytes();
-            if (!maxBytes)
-                maxBytes = envCacheMaxBytes();
-            if (maxBytes)
-                pruneCache(cacheDir_, maxBytes);
-        }
+        if (const std::uint64_t maxBytes = envCacheMaxBytes())
+            pruneCache(cacheDir_, maxBytes);
     }
     if (!traceDir_.empty()) {
         std::error_code ec;
@@ -308,36 +291,6 @@ Runner::envCacheMaxBytes()
 }
 
 std::string
-Runner::envCacheTenant()
-{
-    const char *s = std::getenv("VCOMA_CACHE_TENANT");
-    if (!s || !*s)
-        return "";
-    const std::string tenant(s);
-    // The tenant becomes a path component; anything that could
-    // escape the cache directory or collide with an entry name is
-    // rejected loudly rather than half-honoured.
-    bool ok = tenant != "." && tenant != "..";
-    for (const char c : tenant) {
-        const auto u = static_cast<unsigned char>(c);
-        if (!std::isalnum(u) && c != '.' && c != '_' && c != '-')
-            ok = false;
-    }
-    if (!ok) {
-        warn("VCOMA_CACHE_TENANT='", s, "' is not a plain directory "
-             "name ([A-Za-z0-9._-], not . or ..): ignoring it");
-        return "";
-    }
-    return tenant;
-}
-
-std::uint64_t
-Runner::envCacheTenantMaxBytes()
-{
-    return envMegabytes("VCOMA_CACHE_TENANT_MAX_MB");
-}
-
-std::string
 Runner::envTraceDir()
 {
     const char *s = std::getenv("VCOMA_TRACE_DIR");
@@ -372,10 +325,8 @@ Runner::run(const ExperimentConfig &cfg)
 }
 
 const RunStats *
-Runner::tryRun(const ExperimentConfig &cfg, bool *freshlyExecuted)
+Runner::tryRun(const ExperimentConfig &cfg)
 {
-    if (freshlyExecuted)
-        *freshlyExecuted = false;
     const std::string key = cfg.key();
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -395,44 +346,11 @@ Runner::tryRun(const ExperimentConfig &cfg, bool *freshlyExecuted)
             recordFailure(cfg, key, e.what());
             return nullptr;
         }
-        if (freshlyExecuted)
-            *freshlyExecuted = true;
         if (!path.empty())
             store(path, stats);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     return &memo_.emplace(key, std::move(stats)).first->second;
-}
-
-std::size_t
-Runner::preloadCache()
-{
-    if (cacheDir_.empty())
-        return 0;
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    std::size_t loaded = 0;
-    for (const fs::directory_entry &de :
-         fs::directory_iterator(cacheDir_, ec)) {
-        if (ec)
-            break;
-        if (!de.is_regular_file(ec) ||
-            de.path().extension() != ".txt")
-            continue;
-        const std::string key = de.path().stem().string();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (memo_.count(key))
-                continue;
-        }
-        RunStats stats;
-        if (!load(de.path().string(), stats))
-            continue;  // truncated/foreign file: not an error
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (memo_.emplace(key, std::move(stats)).second)
-            ++loaded;
-    }
-    return loaded;
 }
 
 void
@@ -484,7 +402,8 @@ Runner::failures() const
 }
 
 std::vector<const RunStats *>
-Runner::runAll(std::span<const ExperimentConfig> cfgs)
+Runner::runAll(std::span<const ExperimentConfig> cfgs,
+               std::vector<bool> *freshlyExecuted)
 {
     std::vector<std::string> keys;
     keys.reserve(cfgs.size());
@@ -537,10 +456,17 @@ Runner::runAll(std::span<const ExperimentConfig> cfgs)
 
     std::vector<const RunStats *> results;
     results.reserve(cfgs.size());
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &key : keys) {
-        auto it = memo_.find(key);
-        results.push_back(it != memo_.end() ? &it->second : nullptr);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &key : keys) {
+            auto it = memo_.find(key);
+            results.push_back(it != memo_.end() ? &it->second : nullptr);
+        }
+    }
+    if (freshlyExecuted) {
+        freshlyExecuted->assign(cfgs.size(), false);
+        for (std::size_t i : toRun)
+            (*freshlyExecuted)[i] = results[i] != nullptr;
     }
     return results;
 }
@@ -785,8 +711,8 @@ Runner::storeOnce(const std::string &path, const RunStats &stats,
         << stats.tlbWritebackAccesses << " " << stats.tlbWritebackMisses
         << "\n";
     // 17 significant digits round-trip any double exactly, so a sheet
-    // reloaded from disk is bit-identical to the one simulated (the
-    // service's byte-exact replies depend on it).
+    // reloaded from disk is bit-identical to the one simulated (warm
+    // sweeps write the same sheet bytes as cold ones).
     out << "pressure" << std::setprecision(17);
     for (double v : stats.pressureProfile)
         out << " " << v;

@@ -66,8 +66,8 @@ struct ExperimentConfig
      * check/fault_injector.hh), empty for a normal simulation. A
      * poisoned config deterministically corrupts coherence state and
      * fails its invariant sweep, so failure paths (graceful runAll
-     * sweeps, the service's per-job error replies) can be exercised
-     * end to end. Appears in key() only when set, so ordinary cache
+     * sweeps, vcoma_batch's placeholder lines) can be exercised end
+     * to end. Appears in key() only when set, so ordinary cache
      * keys are unchanged.
      */
     std::string injectFault;
@@ -117,13 +117,8 @@ class Runner
     /**
      * Like run(), but returns nullptr instead of throwing when the
      * simulation fails; the failure is recorded in failures().
-     *
-     * When @p freshlyExecuted is non-null it is set to true iff this
-     * call actually simulated (a miss in both the memo and the disk
-     * cache) — the service layer's cache-hit accounting.
      */
-    const RunStats *tryRun(const ExperimentConfig &cfg,
-                           bool *freshlyExecuted = nullptr);
+    const RunStats *tryRun(const ExperimentConfig &cfg);
 
     /**
      * Run a batch: configs not already memoised or on disk execute
@@ -136,19 +131,15 @@ class Runner
      * failures(), and every other config still runs. Set
      * $VCOMA_STRICT=1 to restore fail-fast (the first failure is
      * rethrown once the pool drains).
+     *
+     * When @p freshlyExecuted is non-null it is resized to the batch
+     * and slot i is set iff this call simulated config i (a miss in
+     * both the memo and the disk cache). A config repeated within
+     * the batch is fresh only at its first slot; a failed one never.
      */
     std::vector<const RunStats *>
-    runAll(std::span<const ExperimentConfig> cfgs);
-
-    /**
-     * Warm the in-memory memo from every readable disk-cache entry
-     * (*.txt under the cache directory; the key is the file stem).
-     * A restarted farm worker calls this to recover its warm state
-     * from the durable layer instead of re-simulating its slice.
-     * Unreadable or truncated entries are skipped, never fatal.
-     * @return the number of entries loaded into the memo.
-     */
-    std::size_t preloadCache();
+    runAll(std::span<const ExperimentConfig> cfgs,
+           std::vector<bool> *freshlyExecuted = nullptr);
 
     /** Every failed config recorded so far, in key order. */
     std::vector<FailedRun> failures() const;
@@ -167,22 +158,6 @@ class Runner
 
     /** Disk-cache budget from $VCOMA_CACHE_MAX_MB in bytes; 0 = unlimited. */
     static std::uint64_t envCacheMaxBytes();
-
-    /**
-     * Cache tenant from $VCOMA_CACHE_TENANT, or "" (the default
-     * shared namespace). When set, this runner's entries live in
-     * `<cacheDir>/<tenant>/` and pruning applies the tenant budget
-     * ($VCOMA_CACHE_TENANT_MAX_MB, falling back to
-     * $VCOMA_CACHE_MAX_MB) to that subdirectory only — one farm
-     * client can never evict another tenant's warm results, and the
-     * shared root's non-recursive pruning never reaches into tenant
-     * subdirectories. Values that are not a plain directory name
-     * ([A-Za-z0-9._-], not "." or "..") are rejected with a warning.
-     */
-    static std::string envCacheTenant();
-
-    /** Tenant budget from $VCOMA_CACHE_TENANT_MAX_MB in bytes; 0 = unset. */
-    static std::uint64_t envCacheTenantMaxBytes();
 
     /**
      * Reference-trace directory from $VCOMA_TRACE_DIR; empty string

@@ -3,8 +3,7 @@
  * Tests for the datacenter frontend: the Zipfian rank sampler, the
  * KVLOOKUP/GRAPH/STREAMJOIN kernels and their inline knob spelling,
  * the text<->packed trace converter behind tools/vcoma_trace, and
- * the TRACE:<path> workload spelling end to end through the
- * simulation service.
+ * the TRACE:<path> workload spelling end to end through the Runner.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +20,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "harness/runner.hh"
-#include "service/client.hh"
-#include "service/server.hh"
 #include "sim/machine.hh"
 #include "sim/memref_pack.hh"
 #include "sim/run_stats_json.hh"
@@ -278,13 +275,13 @@ TEST(TraceConvert, ConvertedTraceReplaysInTheMachine)
 }
 
 // ---------------------------------------------------------------------
-// TRACE:<path> through the service, byte-identical to a direct run.
+// TRACE:<path> through the Runner, byte-identical to the live run.
 
-TEST(DatacenterService, TraceWorkloadRoundTripsThroughTheService)
+TEST(DatacenterKernels, TraceSpellingReplaysTheLiveRunThroughTheRunner)
 {
     TempDir dir;
-    // Record a KVLOOKUP run at service scale (32 nodes) so the trace
-    // thread count matches the service config's node count.
+    // Record a KVLOOKUP run at sweep scale (32 nodes) so the trace
+    // thread count matches the replay config's node count.
     ExperimentConfig cfg;
     cfg.workload = "KVLOOKUP:skew=1.2,read=0.5";
     cfg.scheme = Scheme::VCOMA;
@@ -307,29 +304,8 @@ TEST(DatacenterService, TraceWorkloadRoundTripsThroughTheService)
     ExperimentConfig traceCfg = cfg;
     traceCfg.workload = "TRACE:" + trace;
 
-    // Direct.
     Runner direct("");
     const std::string directJson = statsJson(direct.run(traceCfg));
     EXPECT_EQ(directJson, liveJson)
         << "TRACE: replay diverged from the recorded live run";
-
-    // Via the service.
-    Runner serviceRunner("");
-    ServiceConfig scfg;
-    scfg.endpoint = "/tmp/vcoma_test_dc_" +
-                    std::to_string(::getpid()) + ".sock";
-    scfg.queueCapacity = 4;
-    scfg.workers = 1;
-    ServiceServer server(serviceRunner, scfg);
-    server.start();
-    {
-        ServiceClient client(scfg.endpoint);
-        ASSERT_TRUE(client.ping());
-        const auto out = client.run(traceCfg);
-        ASSERT_TRUE(out.ok) << out.error;
-        EXPECT_EQ(out.statsJson, directJson)
-            << "service sheet differs from the direct run";
-    }
-    server.requestStop();
-    server.waitUntilStopped();
 }

@@ -1,10 +1,15 @@
-/** @file Tests for the crossbar timing/contention model. */
+/**
+ * @file Tests for the crossbar timing/contention model and the
+ * saturating Tick arithmetic its Resource reservations use.
+ */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "net/network.hh"
 
 using namespace vcoma;
@@ -29,6 +34,34 @@ TEST(Resource, AcquireSequencing)
     EXPECT_EQ(r.acquire(105, 10), 110u);
     // A much later request starts immediately.
     EXPECT_EQ(r.acquire(500, 10), 500u);
+}
+
+TEST(SaturatingMath, AddSaturatesInsteadOfWrapping)
+{
+    constexpr std::uint64_t top =
+        std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(saturatingAdd(1, 2), 3u);
+    EXPECT_EQ(saturatingAdd(top, 0), top);
+    EXPECT_EQ(saturatingAdd(top, 1), top);
+    EXPECT_EQ(saturatingAdd(top - 5, 10), top);
+    EXPECT_EQ(saturatingAdd(top / 2, top / 2 + 1), top);
+    EXPECT_EQ(saturatingAdd(0, top), top);
+}
+
+TEST(SaturatingMath, ResourceAcquireNeverWrapsFreeTime)
+{
+    constexpr Tick top = std::numeric_limits<Tick>::max();
+    Resource r;
+    // A malformed huge reservation pins the resource at "never free"
+    // instead of wrapping into the past and granting free slots.
+    EXPECT_EQ(r.acquire(top - 10, 100), top - 10);
+    EXPECT_EQ(r.freeAt(), top);
+    // Later acquires queue behind the saturated time, monotonic.
+    EXPECT_EQ(r.acquire(0, 5), top);
+    EXPECT_EQ(r.freeAt(), top);
+    r.reset();
+    EXPECT_EQ(r.acquire(10, 5), 10u);
+    EXPECT_EQ(r.freeAt(), 15u);
 }
 
 TEST(Network, UncontendedLatencies)

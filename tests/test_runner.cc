@@ -413,6 +413,68 @@ TEST(Runner, RunAllCompletesPastFailingConfig)
         << failures[0].error;
 }
 
+TEST(Runner, RunAllMixedPoisonedBatchKeepsOrderAndRecords)
+{
+    // A batch mixing a FaultInjector-poisoned config with healthy
+    // ones: results in submission order, the poisoned slot nullptr,
+    // the FailedRun recorded, everything else served.
+    std::vector<ExperimentConfig> cfgs;
+    cfgs.push_back(tinyExperiment());
+    ExperimentConfig bad = tinyExperiment();
+    bad.workload = "STRIDE";
+    bad.injectFault = "corrupt-am-state";
+    cfgs.push_back(bad);
+    ExperimentConfig seeded = tinyExperiment();
+    seeded.seed = 7;
+    cfgs.push_back(seeded);
+
+    EnvGuard strict("VCOMA_STRICT", nullptr);
+    Runner runner("");
+    std::vector<bool> fresh;
+    const auto results = runner.runAll(cfgs, &fresh);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_NE(results[0], nullptr);
+    EXPECT_EQ(results[1], nullptr);
+    EXPECT_NE(results[2], nullptr);
+    EXPECT_EQ(fresh, (std::vector<bool>{true, false, true}))
+        << "a failed slot is never reported as freshly simulated";
+
+    const auto failures = runner.failures();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].key, bad.key());
+    EXPECT_NE(failures[0].error.find("corrupt-am-state"),
+              std::string::npos)
+        << failures[0].error;
+}
+
+TEST(Runner, RunAllReportsWhichSlotsSimulated)
+{
+    TempDir dir;
+    std::vector<ExperimentConfig> cfgs = tinyBatch();
+    // A duplicate of slot 1 at the end: simulated once, at slot 1.
+    cfgs.push_back(cfgs[1]);
+    EnvGuard env("VCOMA_JOBS", "4");
+
+    std::vector<bool> fresh;
+    {
+        Runner cold(dir.path.string());
+        cold.runAll(cfgs, &fresh);
+        EXPECT_EQ(cold.executed(), cfgs.size() - 1);
+    }
+    ASSERT_EQ(fresh.size(), cfgs.size());
+    for (std::size_t i = 0; i + 1 < cfgs.size(); ++i)
+        EXPECT_TRUE(fresh[i]) << "cold slot " << i;
+    EXPECT_FALSE(fresh.back()) << "in-batch duplicate re-reported";
+
+    // A warm rerun (disk cache) and a memoised rerun simulate nothing.
+    Runner warm(dir.path.string());
+    warm.runAll(cfgs, &fresh);
+    EXPECT_EQ(warm.executed(), 0u);
+    EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), false));
+    warm.runAll(cfgs, &fresh);
+    EXPECT_EQ(fresh, std::vector<bool>(cfgs.size(), false));
+}
+
 TEST(Runner, RunRethrowsRecordedFailureWithoutReExecuting)
 {
     ExperimentConfig bad = tinyExperiment();
@@ -730,98 +792,4 @@ TEST(ExperimentConfig, KeySanitizesHostileWorkloadSpellings)
     // (no hash suffix), so existing caches stay warm.
     ExperimentConfig plain = tinyExperiment();
     EXPECT_EQ(plain.key().rfind("UNIFORM-", 0), 0u) << plain.key();
-}
-
-TEST(Runner, EnvCacheTenantValidatesTheName)
-{
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", nullptr);
-        EXPECT_EQ(Runner::envCacheTenant(), "");
-    }
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", "team-a.prod_2");
-        EXPECT_EQ(Runner::envCacheTenant(), "team-a.prod_2");
-    }
-    // Anything that could escape the cache root is refused outright.
-    for (const char *bad : {"..", ".", "a/b", "../up", "x y", "a:b"}) {
-        EnvGuard env("VCOMA_CACHE_TENANT", bad);
-        EXPECT_EQ(Runner::envCacheTenant(), "") << bad;
-    }
-}
-
-TEST(Runner, CacheTenantNamespacesEntries)
-{
-    TempDir dir;
-    {
-        EnvGuard env("VCOMA_CACHE_TENANT", "alice");
-        Runner runner(dir.path.string());
-        runner.run(tinyExperiment());
-    }
-    // The entry landed under alice/, not in the shared root.
-    unsigned rootEntries = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir.path)) {
-        if (entry.is_regular_file())
-            ++rootEntries;
-    }
-    EXPECT_EQ(rootEntries, 0u);
-    ASSERT_TRUE(std::filesystem::is_directory(dir.path / "alice"));
-
-    {   // Same tenant: warm.
-        EnvGuard env("VCOMA_CACHE_TENANT", "alice");
-        Runner again(dir.path.string());
-        again.run(tinyExperiment());
-        EXPECT_EQ(again.executed(), 0u);
-    }
-    {   // Different tenant: isolated, must re-run.
-        EnvGuard env("VCOMA_CACHE_TENANT", "bob");
-        Runner stranger(dir.path.string());
-        stranger.run(tinyExperiment());
-        EXPECT_EQ(stranger.executed(), 1u);
-    }
-    {   // No tenant: the shared root is separate again.
-        EnvGuard env("VCOMA_CACHE_TENANT", nullptr);
-        Runner shared(dir.path.string());
-        shared.run(tinyExperiment());
-        EXPECT_EQ(shared.executed(), 1u);
-    }
-}
-
-TEST(Runner, TenantBudgetPrunesOnlyTheTenantDir)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path / "alice");
-    // Oversized tenant dir next to fresh shared-root entries.
-    plantCacheFile(tmp.path / "alice" / "old.txt", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "alice" / "new.txt", 700 * 1024, 1);
-    plantCacheFile(tmp.path / "shared.txt", 700 * 1024, 9);
-
-    EnvGuard tenant("VCOMA_CACHE_TENANT", "alice");
-    EnvGuard budget("VCOMA_CACHE_TENANT_MAX_MB", "1");
-    EnvGuard global("VCOMA_CACHE_MAX_MB", nullptr);
-    Runner runner(tmp.path.string());
-    EXPECT_FALSE(
-        std::filesystem::exists(tmp.path / "alice" / "old.txt"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "alice" / "new.txt"));
-    // Another tenant's (or the shared root's) files are untouchable,
-    // however old they are.
-    EXPECT_TRUE(std::filesystem::exists(tmp.path / "shared.txt"));
-}
-
-TEST(Runner, TenantBudgetFallsBackToTheGlobalBudget)
-{
-    TempDir tmp;
-    std::filesystem::create_directories(tmp.path / "alice");
-    plantCacheFile(tmp.path / "alice" / "old.txt", 700 * 1024, 2);
-    plantCacheFile(tmp.path / "alice" / "new.txt", 700 * 1024, 1);
-
-    EnvGuard tenant("VCOMA_CACHE_TENANT", "alice");
-    EnvGuard budget("VCOMA_CACHE_TENANT_MAX_MB", nullptr);
-    EnvGuard global("VCOMA_CACHE_MAX_MB", "1");
-    Runner runner(tmp.path.string());
-    EXPECT_FALSE(
-        std::filesystem::exists(tmp.path / "alice" / "old.txt"));
-    EXPECT_TRUE(
-        std::filesystem::exists(tmp.path / "alice" / "new.txt"));
 }

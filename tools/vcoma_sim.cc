@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_flags.hh"
 #include "sim/machine.hh"
 #include "translation/scheme.hh"
 #include "translation/system_builder.hh"
@@ -45,25 +46,6 @@ struct Options
     std::string traceEventsPath;
 };
 
-/** Accepted --scheme spellings, straight from the registry. */
-std::string
-schemeTokenList()
-{
-    std::string out;
-    for (const auto &d : schemeRegistry()) {
-        // The shortest accepted spelling per scheme ("L0" rather
-        // than "L0-TLB"); the canonical name wins ties.
-        std::string token = d.name;
-        for (const std::string &alias : d.aliases)
-            if (alias.size() < token.size())
-                token = alias;
-        if (!out.empty())
-            out += " ";
-        out += token;
-    }
-    return out;
-}
-
 [[noreturn]] void
 usage(int code)
 {
@@ -76,7 +58,7 @@ usage(int code)
         "                    or TRACE:FILE to replay a packed trace\n"
         "                    (see vcoma_trace; nodes must match it)\n"
         "  --scheme S        translation scheme (default VCOMA); one\n"
-        "                    of: " + schemeTokenList() + "\n"
+        "                    of: " + cli::schemeTokenList() + "\n"
         "  --entries N       TLB/DLB entries; 0 = software-managed\n"
         "  --assoc N         TLB/DLB associativity; 0 = fully assoc.\n"
         "  --nodes N         processing nodes (power of two, <= 64)\n"
@@ -95,20 +77,6 @@ usage(int code)
     std::exit(code);
 }
 
-Scheme
-parseScheme(const std::string &s)
-{
-    // Strict registry parse: an unknown token is fatal (never a
-    // silent default), with the accepted spellings spelled out.
-    Scheme out;
-    if (!vcoma::tryParseScheme(s, out)) {
-        std::cerr << "unknown scheme '" << s << "'; accepted: "
-                  << schemeTokenList() << "\n";
-        usage(2);
-    }
-    return out;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -125,17 +93,17 @@ parse(int argc, char **argv)
         if (arg == "--workload")
             opt.workload = value(i);
         else if (arg == "--scheme")
-            opt.scheme = parseScheme(value(i));
+            opt.scheme = cli::parseSchemeFlag(arg, value(i));
         else if (arg == "--entries")
-            opt.entries = static_cast<unsigned>(std::stoul(value(i)));
+            opt.entries = cli::parseUnsignedFlag<unsigned>(arg, value(i));
         else if (arg == "--assoc")
-            opt.assoc = static_cast<unsigned>(std::stoul(value(i)));
+            opt.assoc = cli::parseUnsignedFlag<unsigned>(arg, value(i));
         else if (arg == "--nodes")
-            opt.nodes = static_cast<unsigned>(std::stoul(value(i)));
+            opt.nodes = cli::parseUnsignedFlag<unsigned>(arg, value(i));
         else if (arg == "--scale")
-            opt.scale = std::stod(value(i));
+            opt.scale = cli::parsePositiveFlag(arg, value(i));
         else if (arg == "--seed")
-            opt.seed = std::stoull(value(i));
+            opt.seed = cli::parseUnsignedFlag<std::uint64_t>(arg, value(i));
         else if (arg == "--untimed")
             opt.timed = false;
         else if (arg == "--raytrace-v2")

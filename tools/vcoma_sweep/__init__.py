@@ -2,17 +2,15 @@
 
 A sweep is declared as data (a JSON spec: schemes x workloads x knobs,
 cross-product expansion with per-config overrides), submitted through
-one of three backends (`direct` = a local Runner via `vcoma_client
-direct`, `service` = one daemon, `farm` = resilient per-config
-submission through the farm router), collected from the client's
-`--jsonl` output into one normalized result table with provenance,
-and rendered as the paper's Fig. 8-11 SVGs plus a BENCH_*.json
-history dashboard.
+`vcoma_batch` (a local Runner that simulates uncached configs in
+parallel), collected from its `--jsonl` output into one normalized
+result table with provenance, and rendered as the paper's Fig. 8-11
+SVGs plus a BENCH_*.json history dashboard.
 
 Everything is Python stdlib only -- the SVGs are emitted directly, so
 CI needs no matplotlib -- and every simulation byte still comes out
 of the C++ tree: the same spec produces byte-identical collected
-JSONL whichever backend ran it.
+JSONL whatever the job count or cache state.
 
 Entry point: ``python3 -m vcoma_sweep --help`` (run from `tools/`, or
 with `tools/` on PYTHONPATH).

@@ -14,14 +14,14 @@ Commands:
 
 `run` is the push-button paper pipeline:
 
-  python3 -m vcoma_sweep run specs/paper_grid.json --backend direct
-  python3 -m vcoma_sweep run specs/paper_grid.json --backend farm \\
-      --socket tcp:127.0.0.1:7700
+  python3 -m vcoma_sweep run specs/paper_grid.json
 
-Spec paths resolve literally first, then against the stock specs
-shipped in vcoma_sweep/specs/. Everything lands in --out-dir
-(default sweep_out/<spec name>/): results.jsonl (byte-identical
-across backends), results.json (the normalized table), the declared
+Simulations run through vcoma_batch, in parallel on up to $VCOMA_JOBS
+threads, behind the shared disk cache ($VCOMA_CACHE_DIR). Spec paths
+resolve literally first, then against the stock specs shipped in
+vcoma_sweep/specs/. Everything lands in --out-dir (default
+sweep_out/<spec name>/): results.jsonl (byte-identical whatever the
+job count), results.json (the normalized table), the declared
 fig*.svg files and dashboard.html.
 """
 
@@ -47,38 +47,20 @@ def die(msg):
     sys.exit(1)
 
 
-def add_backend_flags(ap):
-    ap.add_argument("--backend", default="direct",
-                    choices=list(B.BACKENDS),
-                    help="how to run the simulations (default direct)")
-    ap.add_argument("--socket", default=None,
-                    help="daemon/farm endpoint (service/farm backends): "
-                         "socket path or tcp:HOST:PORT")
-    ap.add_argument("--client", default=None,
-                    help="vcoma_client binary (default: $VCOMA_CLIENT "
+def add_batch_flag(ap):
+    ap.add_argument("--batch", default=None,
+                    help="vcoma_batch binary (default: $VCOMA_BATCH "
                          "or the build tree)")
-    ap.add_argument("--retries", type=int, default=None,
-                    help="farm backend: per-config retry budget")
-    ap.add_argument("--request-timeout-ms", type=int, default=None,
-                    help="farm backend: per-request I/O deadline")
 
 
 def out_dir_for(args, spec):
     return args.out_dir or os.path.join("sweep_out", spec.name)
 
 
-def backend_options(args):
-    if args.backend in ("service", "farm") and not args.socket:
-        die(f"--backend {args.backend} needs --socket")
-    return B.Options(backend=args.backend, client=args.client,
-                     socket=args.socket, retries=args.retries,
-                     request_timeout_ms=args.request_timeout_ms)
-
-
 def cmd_expand(args):
     spec = load_spec(args.spec)
     configs = spec.expand()
-    options = backend_options(args)
+    options = B.Options(batch=args.batch)
     for line in B.dry_run_lines(configs, options):
         print(line)
     say(f"spec {spec.name!r}: {len(configs)} config(s), "
@@ -89,15 +71,14 @@ def cmd_run(args):
     spec = load_spec(args.spec)
     configs = spec.expand()
     out_dir = out_dir_for(args, spec)
-    options = backend_options(args)
+    options = B.Options(batch=args.batch)
     jsonl = os.path.join(out_dir, "results.jsonl")
     if args.dry_run:
         for line in B.dry_run_lines(configs, options, jsonl):
             print(line)
         return
     os.makedirs(out_dir, exist_ok=True)
-    say(f"spec {spec.name!r}: {len(configs)} config(s) via "
-        f"{args.backend}")
+    say(f"spec {spec.name!r}: {len(configs)} config(s)")
     result = B.submit(configs, jsonl, options, log=say,
                       strict=not args.keep_going)
     hits = sum(1 for v in result.cached.values() if v)
@@ -155,7 +136,7 @@ def main(argv=None):
     p.add_argument("--out-dir", default=None)
     p.add_argument("--dry-run", action="store_true",
                    help="print the expanded configs and the exact "
-                        "client commands; submit nothing")
+                        "vcoma_batch commands; submit nothing")
     p.add_argument("--keep-going", action="store_true",
                    help="tolerate per-config simulation failures "
                         "(rows become n/a*) instead of aborting")
@@ -166,13 +147,13 @@ def main(argv=None):
     p.add_argument("--baseline", default=None,
                    help="perf baseline (default "
                         "<bench-root>/bench/perf_baseline.json)")
-    add_backend_flags(p)
+    add_batch_flag(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("expand", help="print the expanded config "
                                       "list and invocation plan")
     p.add_argument("spec")
-    add_backend_flags(p)
+    add_batch_flag(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("collect", help="JSONL -> results.json")

@@ -1,8 +1,7 @@
 """CI validators:
 
   * :mod:`vcoma_sweep.checks.stats` -- validates VCOMA_STATS_JSON
-    JSONL sheets, Chrome traces, BENCH_*.json reports and
-    vcoma_served /stats replies.
+    JSONL sheets, Chrome traces and BENCH_*.json reports.
   * :mod:`vcoma_sweep.checks.perf` -- gates BENCH_perf_core.json
     ratios against bench/perf_baseline.json.
 

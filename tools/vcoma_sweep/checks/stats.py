@@ -3,7 +3,7 @@
 Usage (from the repository root, with PYTHONPATH=tools):
     python3 -m vcoma_sweep check-stats STATS.jsonl
         [--trace TRACE.json] [--bench-glob 'BENCH_*.json']
-        [--require-vcoma] [--service-stats FILE]
+        [--require-vcoma]
 
 Checks, per JSONL line in STATS.jsonl:
   * the line parses as JSON with schema == 1;
@@ -23,12 +23,6 @@ With --bench-glob, every matching BENCH_*.json must parse and carry
 the report fields bench_util.hh writes (both the schema-1 era and
 the current schema-2 + git-stamp format are accepted here; the
 dashboard is the layer that refuses stale formats).
-
-With --service-stats, validate a vcoma_served /stats reply (either
-the raw reply line {"ok":true,"serviceStats":{...}} or the bare
-serviceStats object): schema == 1, all counters present, the latency
-percentiles ordered p50 <= p90 <= p99 <= max, cache hits bounded by
-jobs served, and the queue depth bounded by its capacity.
 
 Exit status 0 on success, 1 with a message on the first failure.
 """
@@ -164,74 +158,16 @@ def check_bench(pattern):
     return paths
 
 
-def check_service_stats(path):
-    with open(path, "r", encoding="utf-8") as f:
-        doc = load_json(f.read(), path)
-    if "serviceStats" in doc:
-        # The raw reply line of a {"op":"stats"} request.
-        if doc.get("ok") is not True:
-            fail(f"{path}: stats reply carries ok != true")
-        doc = doc["serviceStats"]
-    if doc.get("schema") != 1:
-        fail(f"{path}: serviceStats schema != 1")
-
-    for key in ("queueDepth", "queueCapacity", "workers",
-                "jobsSubmitted", "jobsServed", "jobsFailed", "jobsShed",
-                "shedQueueFull", "shedDeadline", "jobsCancelled",
-                "dedupJoins", "cacheHits", "simulationsExecuted",
-                "latencyMs"):
-        if key not in doc:
-            fail(f"{path}: missing serviceStats key {key!r}")
-
-    if doc["jobsShed"] != doc["shedQueueFull"] + doc["shedDeadline"]:
-        fail(f"{path}: jobsShed {doc['jobsShed']} != shedQueueFull "
-             f"{doc['shedQueueFull']} + shedDeadline {doc['shedDeadline']}")
-    if doc["cacheHits"] > doc["jobsServed"]:
-        fail(f"{path}: cacheHits {doc['cacheHits']} > jobsServed "
-             f"{doc['jobsServed']}")
-    if doc["queueDepth"] > doc["queueCapacity"]:
-        fail(f"{path}: queueDepth {doc['queueDepth']} > queueCapacity "
-             f"{doc['queueCapacity']}")
-
-    lat = doc["latencyMs"]
-    for key in ("count", "sum", "min", "max", "mean", "p50", "p90", "p99"):
-        if key not in lat:
-            fail(f"{path}: missing latencyMs key {key!r}")
-    if lat["count"]:
-        if not (lat["p50"] <= lat["p90"] <= lat["p99"] <= lat["max"]):
-            fail(f"{path}: latency percentiles out of order: "
-                 f"p50 {lat['p50']} p90 {lat['p90']} p99 {lat['p99']} "
-                 f"max {lat['max']}")
-        if lat["min"] > lat["max"]:
-            fail(f"{path}: latencyMs min {lat['min']} > max {lat['max']}")
-    return doc
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("stats", nargs="?",
+    ap.add_argument("stats",
                     help="JSONL file written via VCOMA_STATS_JSON")
     ap.add_argument("--trace", help="Chrome trace via VCOMA_TRACE_EVENTS")
     ap.add_argument("--bench-glob", help="glob of BENCH_*.json reports")
     ap.add_argument("--require-vcoma", action="store_true",
                     help="fail unless at least one line is a V-COMA run "
                          "with nonzero DLB effect counters")
-    ap.add_argument("--service-stats",
-                    help="vcoma_served /stats reply (raw line or bare "
-                         "serviceStats object)")
     args = ap.parse_args(argv)
-
-    if not args.stats and not args.service_stats:
-        ap.error("nothing to check: give STATS.jsonl and/or "
-                 "--service-stats FILE")
-
-    if args.service_stats:
-        doc = check_service_stats(args.service_stats)
-        print(f"check_stats_json: service stats OK "
-              f"({doc['jobsServed']} job(s) served, "
-              f"{doc['cacheHits']} cache hit(s))")
-    if not args.stats:
-        return
 
     lines = 0
     vcoma_evidence = False

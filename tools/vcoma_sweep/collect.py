@@ -1,6 +1,6 @@
-"""Collect: client JSONL (or sheet files) -> one normalized table.
+"""Collect: batch JSONL (or sheet files) -> one normalized table.
 
-The client's `--jsonl` output carries one record per submitted
+vcoma_batch's `--jsonl` output carries one record per submitted
 config, in submission order; the spec expansion produced that same
 order, so provenance is a positional join -- and each pairing is
 cross-checked against the record's own workload/scheme echo, so a

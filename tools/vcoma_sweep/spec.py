@@ -29,9 +29,9 @@ Expansion rules:
     the sweep expands to the cross product of all axes x workloads x
     schemes. Axis combinations vary outermost so that configs sharing
     one knob combination are consecutive (the submit layer turns each
-    such run into one `vcoma_client` invocation with comma lists).
+    such run into one `vcoma_batch` invocation with comma lists).
     Within a combination the order is workloads outer, schemes inner
-    -- exactly `vcoma_client`'s own sweep order, so the collected
+    -- exactly `vcoma_batch`'s own sweep order, so the collected
     JSONL lines land in spec order whatever the grouping.
   * `defaults` (and the built-in knob defaults below) fill whatever a
     sweep leaves unspecified.
@@ -44,7 +44,7 @@ Scheme tokens reuse the registry's canonical names and parse aliases
 (src/translation/scheme.cc); workloads reuse the `TRACE:<path>` and
 `KVLOOKUP:skew=...,read=...,ws=...` grammar of makeWorkload(). Both
 are validated here so a bad spec dies before anything is submitted --
-and `vcoma_client` re-validates, so registry drift fails loudly
+and `vcoma_batch` re-validates, so registry drift fails loudly
 rather than silently diverging.
 """
 
@@ -58,7 +58,7 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scheme and workload vocabulary (mirrors the C++ registry; the client
+# Scheme and workload vocabulary (mirrors the C++ registry; vcoma_batch
 # re-validates every token, so drift is a loud failure, not a skew).
 # ---------------------------------------------------------------------------
 
@@ -88,7 +88,7 @@ ALL_WORKLOADS = PAPER_WORKLOADS + SYNTHETIC_WORKLOADS + DATACENTER_WORKLOADS
 #: inline knobs the datacenter kernels accept ("KVLOOKUP:skew=1.2").
 WORKLOAD_KNOBS = ("skew", "read", "ws")
 
-#: knob -> (python type, vcoma_client flag or None for booleans,
+#: knob -> (python type, vcoma_batch flag or None for booleans,
 #:          default). Mirrors ExperimentConfig's fields and defaults.
 KNOBS = {
     "entries":      (int,   "--entries",      8),
@@ -230,7 +230,7 @@ class Config:
                 f"-k{k['am_assoc']}-p{k['xlat_penalty']}")
 
     def knob_flags(self):
-        """vcoma_client flags for this config's knobs (always the full
+        """vcoma_batch flags for this config's knobs (always the full
         set, so every invocation is explicit and order-independent)."""
         k = self.knobs
         flags = []

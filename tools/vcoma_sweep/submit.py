@@ -1,21 +1,16 @@
-"""Submission backends: expanded configs -> collected JSONL.
+"""Submission: expanded configs -> collected JSONL.
 
-Three backends share one contract -- after submit() returns, the
-JSONL file holds exactly one record per expanded config, in spec
-order, each record being the byte-exact writeRunStatsJson() sheet
-(or a {"key":...,"error":...} placeholder for a failed config):
-
-  * ``direct``  -- `vcoma_client direct`: a local Runner, no daemon.
-  * ``service`` -- `vcoma_client sweep` against one vcoma_served.
-  * ``farm``    -- `vcoma_client sweep --farm`: per-config resilient
-    submission (retry/backoff/reconnect) through the farm router.
-
-Because simulations are deterministic and every backend emits the
-same sheet bytes in the same order, a farm-collected JSONL is
-byte-identical to a direct one -- CI diffs them.
+After submit() returns, the JSONL file holds exactly one record per
+expanded config, in spec order, each record being the byte-exact
+writeRunStatsJson() sheet (or a {"key":...,"error":...} placeholder
+for a failed config). Every invocation is one `vcoma_batch` run: a
+local Runner that simulates the configs the shared disk cache does
+not hold in parallel on up to $VCOMA_JOBS threads. Simulations are
+deterministic, so the JSONL bytes do not depend on the job count --
+CI diffs a serial sweep against a parallel one.
 
 Invocation planning: configs sharing one knob combination are
-submitted as a single `vcoma_client` call with `--workloads`/
+submitted as a single `vcoma_batch` call with `--workloads`/
 `--schemes` comma lists when (and only when) the group is a pure
 cross product and no token contains a comma (inline workload knobs
 use commas); anything irregular -- an override that patched one
@@ -29,14 +24,11 @@ import time
 
 
 class SubmitError(RuntimeError):
-    """A client invocation failed outright (bad flags, dead daemon)."""
-
-
-BACKENDS = ("direct", "service", "farm")
+    """A batch invocation failed outright (bad flags, missing binary)."""
 
 
 class Invocation:
-    """One planned `vcoma_client` call covering >= 1 configs."""
+    """One planned `vcoma_batch` call covering >= 1 configs."""
 
     def __init__(self, configs, workloads, schemes):
         self.configs = configs      # in spec order
@@ -66,10 +58,10 @@ def _unique(seq):
 
 
 def plan_invocations(configs):
-    """Group consecutive same-knob configs into client calls.
+    """Group consecutive same-knob configs into batch calls.
 
     The group's (workload, scheme) sequence must be exactly the cross
-    product the client itself would enumerate (workloads outer,
+    product vcoma_batch itself would enumerate (workloads outer,
     schemes inner) -- otherwise the JSONL order would diverge from
     the spec order and the collector's provenance join would lie.
     """
@@ -96,53 +88,33 @@ def plan_invocations(configs):
     return plan
 
 
-def default_client():
-    """Locate the built vcoma_client: $VCOMA_CLIENT, then the usual
+def default_batch():
+    """Locate the built vcoma_batch: $VCOMA_BATCH, then the usual
     build-tree spots relative to the working directory and to this
     package (tools/vcoma_sweep -> repo root)."""
-    env = os.environ.get("VCOMA_CLIENT")
+    env = os.environ.get("VCOMA_BATCH")
     if env:
         return env
     here = os.path.dirname(os.path.abspath(__file__))
     repo = os.path.dirname(os.path.dirname(here))
-    for candidate in ("build/tools/vcoma_client",
-                      "tools/vcoma_client",
-                      os.path.join(repo, "build/tools/vcoma_client")):
+    for candidate in ("build/tools/vcoma_batch",
+                      "tools/vcoma_batch",
+                      os.path.join(repo, "build/tools/vcoma_batch")):
         if os.path.exists(candidate):
             return candidate
-    return "vcoma_client"   # hope for PATH
+    return "vcoma_batch"   # hope for PATH
 
 
 class Options:
-    """Backend options (endpoint + farm resilience flags)."""
+    """How to run vcoma_batch: the binary and its environment."""
 
-    def __init__(self, backend="direct", client=None, socket=None,
-                 retries=None, request_timeout_ms=None, env=None):
-        if backend not in BACKENDS:
-            raise SubmitError(f"unknown backend {backend!r} "
-                              f"(one of {', '.join(BACKENDS)})")
-        self.backend = backend
-        self.client = client or default_client()
-        self.socket = socket
-        self.retries = retries
-        self.request_timeout_ms = request_timeout_ms
+    def __init__(self, batch=None, env=None):
+        self.batch = batch or default_batch()
         self.env = env
 
     def command(self, invocation, jsonl_path):
-        cmd = [self.client]
-        if self.backend in ("service", "farm") and self.socket:
-            cmd += ["--socket", self.socket]
-        cmd += ["direct" if self.backend == "direct" else "sweep"]
-        if self.backend == "farm":
-            cmd += ["--farm"]
-            if self.retries is not None:
-                cmd += ["--retries", str(self.retries)]
-            if self.request_timeout_ms is not None:
-                cmd += ["--request-timeout-ms",
-                        str(self.request_timeout_ms)]
-        cmd += invocation.sweep_args()
-        cmd += ["--jsonl", jsonl_path]
-        return cmd
+        return ([self.batch] + invocation.sweep_args()
+                + ["--jsonl", jsonl_path])
 
 
 class SubmitResult:
@@ -151,20 +123,20 @@ class SubmitResult:
     def __init__(self):
         self.jsonl_path = None
         self.invocations = 0
-        #: key -> True (cache hit) / False (simulated) / None (failed
-        #: or the client predates the provenance lines).
+        #: key -> True (cache hit) / False (simulated); a failed
+        #: config has no entry.
         self.cached = {}
         #: key -> wall ms of the invocation that carried the config.
         self.wall_ms = {}
 
 
 def _parse_provenance(stderr_text, result):
-    """Pick the per-config `vcoma_client: KEY (cached|simulated)`
-    lines out of the client's stderr."""
+    """Pick the per-config `vcoma_batch: KEY (cached|simulated)`
+    lines out of vcoma_batch's stderr."""
     for line in stderr_text.splitlines():
-        if not line.startswith("vcoma_client: "):
+        if not line.startswith("vcoma_batch: "):
             continue
-        rest = line[len("vcoma_client: "):]
+        rest = line[len("vcoma_batch: "):]
         for suffix, cached in ((" (cached)", True),
                                (" (simulated)", False)):
             if rest.endswith(suffix):
@@ -173,9 +145,9 @@ def _parse_provenance(stderr_text, result):
 
 def submit(configs, jsonl_path, options, log=None, strict=True):
     """Run every planned invocation in order, appending to
-    @jsonl_path (which is removed first: the client appends).
+    @jsonl_path (which is removed first: vcoma_batch appends).
 
-    Returns a SubmitResult. With @strict, a client invocation that
+    Returns a SubmitResult. With @strict, a batch invocation that
     exits non-zero for anything but per-config simulation failures
     (exit 1 with placeholder lines already written) raises.
     """
@@ -201,7 +173,7 @@ def submit(configs, jsonl_path, options, log=None, strict=True):
             result.wall_ms[cfg.key()] = wall
         if proc.returncode not in (0, 1):
             raise SubmitError(
-                f"client exited {proc.returncode} for "
+                f"vcoma_batch exited {proc.returncode} for "
                 f"{' '.join(cmd)}:\n{proc.stderr.strip()}")
         if proc.returncode == 1:
             say(f"  some config(s) failed:\n{proc.stderr.strip()}")
@@ -219,7 +191,7 @@ def dry_run_lines(configs, options, jsonl_path="<out>/results.jsonl"):
     lines = [f"{len(configs)} config(s):"]
     lines += [f"  {c.key()}" for c in configs]
     plan = plan_invocations(configs)
-    lines.append(f"{len(plan)} client invocation(s):")
+    lines.append(f"{len(plan)} batch invocation(s):")
     lines += ["  " + " ".join(options.command(inv, jsonl_path))
               for inv in plan]
     return lines

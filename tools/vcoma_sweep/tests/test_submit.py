@@ -1,5 +1,7 @@
-"""Submission planning: grouping rules and command shapes."""
+"""Submission planning: grouping rules, command shapes and
+provenance parsing."""
 
+import os
 import unittest
 
 from vcoma_sweep import spec as M
@@ -69,10 +71,9 @@ class CommandTest(unittest.TestCase):
                              "schemes": ["L0", "VCOMA"]}])
         self.inv = B.plan_invocations(self.cfgs)[0]
 
-    def test_direct_command(self):
-        opts = B.Options("direct", client="CLIENT")
-        cmd = opts.command(self.inv, "out.jsonl")
-        self.assertEqual(cmd[:2], ["CLIENT", "direct"])
+    def test_batch_command(self):
+        cmd = B.Options(batch="BATCH").command(self.inv, "out.jsonl")
+        self.assertEqual(cmd[0], "BATCH")
         self.assertIn("--workloads", cmd)
         self.assertEqual(cmd[cmd.index("--workloads") + 1],
                          "RADIX,FFT")
@@ -80,48 +81,48 @@ class CommandTest(unittest.TestCase):
                          "L0-TLB,V-COMA")
         self.assertEqual(cmd[-2:], ["--jsonl", "out.jsonl"])
         self.assertIn("--untimed", cmd)
-        self.assertNotIn("--farm", cmd)
 
     def test_single_config_uses_singular_flags(self):
         one = B.plan_invocations(self.cfgs[:1])[0]
-        cmd = B.Options("direct", client="C").command(one, "o.jsonl")
+        cmd = B.Options(batch="B").command(one, "o.jsonl")
         self.assertIn("--workload", cmd)
         self.assertIn("--scheme", cmd)
         self.assertNotIn("--workloads", cmd)
 
-    def test_farm_command(self):
-        opts = B.Options("farm", client="CLIENT", socket="tcp:h:1",
-                         retries=5, request_timeout_ms=2000)
-        cmd = opts.command(self.inv, "out.jsonl")
-        self.assertEqual(cmd[:4], ["CLIENT", "--socket", "tcp:h:1",
-                                   "sweep"])
-        self.assertIn("--farm", cmd)
-        self.assertEqual(cmd[cmd.index("--retries") + 1], "5")
-        self.assertEqual(cmd[cmd.index("--request-timeout-ms") + 1],
-                         "2000")
-
-    def test_service_command(self):
-        cmd = B.Options("service", client="C",
-                        socket="s.sock").command(self.inv, "o.jsonl")
-        self.assertEqual(cmd[:4], ["C", "--socket", "s.sock", "sweep"])
-        self.assertNotIn("--farm", cmd)
-
-    def test_unknown_backend_rejected(self):
-        with self.assertRaisesRegex(B.SubmitError, "unknown backend"):
-            B.Options("cloud")
+    def test_batch_binary_from_environment(self):
+        saved = os.environ.get("VCOMA_BATCH")
+        os.environ["VCOMA_BATCH"] = "/opt/x/vcoma_batch"
+        try:
+            self.assertEqual(B.Options().batch, "/opt/x/vcoma_batch")
+        finally:
+            if saved is None:
+                del os.environ["VCOMA_BATCH"]
+            else:
+                os.environ["VCOMA_BATCH"] = saved
 
     def test_knob_flags_cover_every_flagged_knob(self):
-        cmd = B.Options("direct", client="C").command(self.inv, "o")
+        cmd = B.Options(batch="B").command(self.inv, "o")
         for flag in ("--entries", "--assoc", "--nodes", "--scale",
                      "--seed", "--am-assoc", "--xlat-penalty"):
             self.assertIn(flag, cmd)
 
     def test_dry_run_lists_configs_and_commands(self):
-        lines = B.dry_run_lines(self.cfgs,
-                                B.Options("direct", client="C"))
+        lines = B.dry_run_lines(self.cfgs, B.Options(batch="B"))
         self.assertIn("4 config(s):", lines[0])
-        self.assertIn("1 client invocation(s):", lines[5])
+        self.assertIn("1 batch invocation(s):", lines[5])
         self.assertTrue(lines[1].strip().startswith("RADIX-L0-TLB-"))
+
+
+class ProvenanceTest(unittest.TestCase):
+    def test_batch_stderr_lines_become_cache_flags(self):
+        result = B.SubmitResult()
+        B._parse_provenance(
+            "vcoma_batch: A-V-COMA-e8 (cached)\n"
+            "warn: something unrelated\n"
+            "vcoma_batch: B-L0-TLB-e8 (simulated)\n"
+            "vcoma_batch: C-L0-TLB-e8: failed: boom\n", result)
+        self.assertEqual(result.cached, {"A-V-COMA-e8": True,
+                                         "B-L0-TLB-e8": False})
 
 
 if __name__ == "__main__":
