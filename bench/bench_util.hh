@@ -13,13 +13,11 @@
 #define VCOMA_BENCH_BENCH_UTIL_HH
 
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/json.hh"
 #include "harness/experiments.hh"
@@ -61,17 +59,10 @@ class BenchReport
     {
     }
 
-    /** Attach a named scalar to the report. */
-    void
-    metric(const std::string &key, double value)
-    {
-        metrics_.emplace_back(key, value);
-    }
-
     /**
      * Write BENCH_<name>.json. Pass the Runner when the bench has one
      * so the report carries its executed/failure counts; pass nullptr
-     * for benches without a Runner (the micro-benchmarks).
+     * for benches without a Runner.
      */
     void
     finish(const vcoma::Runner *runner) const
@@ -89,29 +80,12 @@ class BenchReport
             << "\",\"wall_ms\":" << wallMs
             << ",\"executed\":" << (runner ? runner->executed() : 0)
             << ",\"failures\":"
-            << (runner ? runner->failures().size() : 0);
-        if (!metrics_.empty()) {
-            out << ",\"metrics\":{";
-            bool first = true;
-            for (const auto &[key, value] : metrics_) {
-                // inf/nan are not JSON; null keeps the file parsable.
-                out << (first ? "" : ",") << "\""
-                    << vcoma::jsonEscape(key) << "\":";
-                if (std::isfinite(value))
-                    out << value;
-                else
-                    out << "null";
-                first = false;
-            }
-            out << "}";
-        }
-        out << "}\n";
+            << (runner ? runner->failures().size() : 0) << "}\n";
     }
 
   private:
     std::string name_;
     std::chrono::steady_clock::time_point start_;
-    std::vector<std::pair<std::string, double>> metrics_;
 };
 
 /** Print the standard banner and return the configured scale. */

@@ -1,10 +1,8 @@
 #include "coma/protocol.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/bitops.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "sim/event_trace.hh"
 
@@ -32,8 +30,7 @@ CoherenceEngine::CoherenceEngine(const MachineConfig &cfg,
     // additionally excludes stores (TLB charge on FLC write-through),
     // and checkLevel >= 2 wants the version self-check on every
     // cache hit.
-    const char *fp = std::getenv("VCOMA_FASTPATH");
-    fastConfigured_ = fp ? envTruthy("VCOMA_FASTPATH") : cfg_.fastPath;
+    fastConfigured_ = cfg_.fastPath;
     fastReads_ = fastConfigured_ && traits_.fastReadFilter &&
                  cfg_.checkLevel < 2;
     fastWrites_ = fastReads_ && traits_.fastWriteFilter;

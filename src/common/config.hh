@@ -210,8 +210,7 @@ struct MachineConfig
      * Let the engine resolve FLC/SLC hits through its per-CPU fast
      * filter instead of the full protocol walk. Strictly a simulator
      * speed knob: results are identical either way (the equivalence
-     * suite enforces it), so it defaults on. A set VCOMA_FASTPATH
-     * environment variable overrides this field.
+     * suite enforces it), so it defaults on.
      */
     bool fastPath = true;
 

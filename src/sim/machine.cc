@@ -221,7 +221,7 @@ Machine::run(Workload &workload)
     // Batching layer of the core speedups: drain consecutive events
     // of one CPU without heap churn. Provably order-identical, but
     // gated with the rest of the fast-path machinery so
-    // $VCOMA_FASTPATH=0 measures the pristine event loop.
+    // MachineConfig::fastPath = false runs the pristine event loop.
     const bool batchEvents = engine_.fastPathConfigured();
 
     // Loop-invariant loads the optimiser cannot hoist itself because

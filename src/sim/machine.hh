@@ -74,7 +74,7 @@ class Machine
 
     /**
      * Is the engine's hit fast path active for this machine (the
-     * config/$VCOMA_FASTPATH knob after the structural scheme and
+     * MachineConfig::fastPath knob after the structural scheme and
      * check-level gates)?
      */
     bool fastPathActive() const { return engine_.fastPathEnabled(); }

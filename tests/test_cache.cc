@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "common/rng.hh"
 #include "mem/cache.hh"
 
@@ -149,6 +152,40 @@ TEST(Cache, RejectsBadGeometry)
 // Property tests over several geometries.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** A geometry as a test name, e.g. s1024_a1_b32_wt. */
+std::string
+geometryName(const CacheConfig &cfg)
+{
+    return "s" + std::to_string(cfg.sizeBytes) + "_a" +
+           std::to_string(cfg.assoc) + "_b" +
+           std::to_string(cfg.blockBytes) +
+           (cfg.writeThrough ? "_wt" : "_wb");
+}
+
+} // namespace
+
+namespace vcoma
+{
+
+/**
+ * Without a printer gtest would show a CacheConfig as its raw bytes,
+ * uninitialised struct padding included, and ctest names each case
+ * after that dump, so the names would change from build to build.
+ */
+void
+PrintTo(const CacheConfig &cfg, std::ostream *os)
+{
+    *os << cfg.sizeBytes << " B, " << cfg.assoc << "-way, "
+        << cfg.blockBytes << " B blocks, "
+        << (cfg.writeThrough ? "write-through" : "write-back")
+        << (cfg.writeAllocate ? ", write-allocate" : "");
+}
+
+} // namespace vcoma
+
 class CacheProperty : public ::testing::TestWithParam<CacheConfig>
 {
 };
@@ -209,4 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
         CacheConfig{4096, 4, 64, false, true},
         CacheConfig{16 * 1024, 1, 32, true, false},
         CacheConfig{64 * 1024, 4, 64, false, true},
-        CacheConfig{8192, 8, 128, false, true}));
+        CacheConfig{8192, 8, 128, false, true}),
+    [](const ::testing::TestParamInfo<CacheConfig> &info) {
+        return geometryName(info.param);
+    });

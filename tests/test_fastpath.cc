@@ -16,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/machine.hh"
 #include "sim/run_stats_json.hh"
@@ -38,18 +39,71 @@ struct RunResult
     bool fastPathActive = false;
 };
 
-RunResult
-runOnce(Scheme scheme, const std::string &workload, bool fastPath)
+/**
+ * The FLC-hit-heavy regime: each thread re-sweeps a private buffer
+ * that fits its FLC, so after the first sweep nearly every read is an
+ * FLC hit and nearly every write a silent store (AM Exclusive, SLC
+ * hit), the two cases the fast path filters. Compute phases grow with
+ * the thread id, so the event heap sees asymmetric timing instead of
+ * lockstep.
+ */
+class FlcResweepWorkload : public Workload
 {
-    MachineConfig cfg = tinyConfig(scheme);
-    cfg.fastPath = fastPath;
+  public:
+    static constexpr const char *label = "FLC-RESWEEP";
+
+    FlcResweepWorkload(unsigned threads, unsigned iterations)
+        : threads_(threads), iterations_(iterations)
+    {
+        for (unsigned t = 0; t < threads; ++t) {
+            bases_.push_back(space_.alloc(
+                "resweep.buf" + std::to_string(t), bufBytes,
+                /*align=*/4096));
+        }
+    }
+
+    std::string name() const override { return label; }
+
+    std::string
+    parameters() const override
+    {
+        return std::to_string(iterations_) + " sweeps of " +
+               std::to_string(bufBytes) + " B per thread";
+    }
+
+    unsigned numThreads() const override { return threads_; }
+    const AddressSpace &space() const override { return space_; }
+    Generator<MemRef> thread(unsigned tid) override { return body(tid); }
+
+  private:
+    static constexpr unsigned bufBytes = 2048;
+
+    Generator<MemRef>
+    body(unsigned tid)
+    {
+        const VAddr base = bases_[tid];
+        const std::uint32_t work = 2u << (2 * tid);
+        for (unsigned it = 0; it < iterations_; ++it) {
+            for (unsigned off = 0; off < bufBytes; off += 32) {
+                co_yield MemRef::read(base + off, work);
+                if (off % 256 == 0)
+                    co_yield MemRef::write(base + off, work);
+            }
+        }
+    }
+
+    unsigned threads_;
+    unsigned iterations_;
+    AddressSpace space_;
+    std::vector<VAddr> bases_;
+};
+
+RunResult
+runMachine(const MachineConfig &cfg, Workload &workload)
+{
     Machine machine(cfg);
-    WorkloadParams p;
-    p.threads = cfg.numNodes;
-    p.scale = 0.02;
-    auto w = makeWorkload(workload, p);
     RunResult r;
-    r.stats = machine.run(*w);
+    r.stats = machine.run(workload);
     std::ostringstream dump;
     machine.dumpStats(dump);
     r.dump = dump.str();
@@ -58,6 +112,24 @@ runOnce(Scheme scheme, const std::string &workload, bool fastPath)
     r.json = json.str();
     r.fastPathActive = machine.fastPathActive();
     return r;
+}
+
+RunResult
+runOnce(Scheme scheme, const std::string &workload, bool fastPath)
+{
+    MachineConfig cfg = tinyConfig(scheme);
+    cfg.fastPath = fastPath;
+    if (workload == FlcResweepWorkload::label) {
+        cfg.flc.sizeBytes = 8 * 1024;  // covers the 2 KB buffer
+        cfg.slc.sizeBytes = 32 * 1024;
+        FlcResweepWorkload w(cfg.numNodes, /*iterations=*/200);
+        return runMachine(cfg, w);
+    }
+    WorkloadParams p;
+    p.threads = cfg.numNodes;
+    p.scale = 0.02;
+    auto w = makeWorkload(workload, p);
+    return runMachine(cfg, *w);
 }
 
 /** Field-by-field comparison with readable failure messages. */
@@ -93,9 +165,37 @@ expectSameStats(const RunStats &fast, const RunStats &slow)
     }
 }
 
-} // namespace
+void
+expectIdentical(const RunResult &fast, const RunResult &slow)
+{
+    expectSameStats(fast.stats, slow.stats);
+    // The JSON line carries every RunStats field (shadow sweep,
+    // pressure profile, latency summaries): require exact identity,
+    // which is also what $VCOMA_STATS_JSON consumers would diff.
+    EXPECT_EQ(fast.json, slow.json);
+    // And the full component hierarchy: per-node cache/AM/TLB/network
+    // counters must match, not just the aggregated sheet.
+    EXPECT_EQ(fast.dump, slow.dump);
+}
 
 using Case = std::tuple<Scheme, std::string>;
+
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    std::string n = std::string(schemeName(std::get<0>(info.param))) +
+                    "_" + std::get<1>(info.param);
+    n.erase(std::remove_if(n.begin(), n.end(),
+                           [](char c) {
+                               return !std::isalnum(
+                                          static_cast<unsigned char>(c)) &&
+                                      c != '_';
+                           }),
+            n.end());
+    return n;
+}
+
+} // namespace
 
 class FastPathEquivalence : public ::testing::TestWithParam<Case>
 {
@@ -112,14 +212,7 @@ TEST_P(FastPathEquivalence, IdenticalStatsOnAndOff)
     EXPECT_FALSE(slow.fastPathActive);
     EXPECT_EQ(fast.fastPathActive, scheme != Scheme::L0);
 
-    expectSameStats(fast.stats, slow.stats);
-    // The JSON line carries every RunStats field (shadow sweep,
-    // pressure profile, latency summaries): require exact identity,
-    // which is also what $VCOMA_STATS_JSON consumers would diff.
-    EXPECT_EQ(fast.json, slow.json);
-    // And the full component hierarchy: per-node cache/AM/TLB/network
-    // counters must match, not just the aggregated sheet.
-    EXPECT_EQ(fast.dump, slow.dump);
+    expectIdentical(fast, slow);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,19 +223,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("RADIX", "FFT", "FMM", "OCEAN",
                                          "RAYTRACE", "BARNES", "UNIFORM",
                                          "STRIDE", "HOTSPOT")),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        std::string n = std::string(schemeName(std::get<0>(info.param))) +
-                        "_" + std::get<1>(info.param);
-        n.erase(std::remove_if(n.begin(), n.end(),
-                               [](char c) {
-                                   return !std::isalnum(
-                                              static_cast<unsigned char>(
-                                                  c)) &&
-                                          c != '_';
-                               }),
-                n.end());
-        return n;
-    });
+    caseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    FlcResweep, FastPathEquivalence,
+    ::testing::Values(Case{Scheme::VCOMA, FlcResweepWorkload::label}),
+    caseName);
 
 TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
 {
@@ -167,46 +253,14 @@ TEST(FastPathTrace, RecordReplayRoundTripIsIdentical)
     auto replayOnce = [&](bool fastPath) {
         MachineConfig cfg = tinyConfig(Scheme::VCOMA);
         cfg.fastPath = fastPath;
-        Machine machine(cfg);
         ReplayWorkload w(trace);
-        RunResult r;
-        r.stats = machine.run(w);
-        std::ostringstream dump;
-        machine.dumpStats(dump);
-        r.dump = dump.str();
-        std::ostringstream json;
-        writeRunStatsJson(json, r.stats);
-        r.json = json.str();
-        return r;
+        return runMachine(cfg, w);
     };
     const RunResult fast = replayOnce(true);
     const RunResult slow = replayOnce(false);
     std::filesystem::remove(trace);
     EXPECT_GT(fast.stats.totalRefs(), 0u);
-    expectSameStats(fast.stats, slow.stats);
-    EXPECT_EQ(fast.json, slow.json);
-    EXPECT_EQ(fast.dump, slow.dump);
-}
-
-TEST(FastPathEnv, EnvOverridesConfig)
-{
-    // $VCOMA_FASTPATH beats MachineConfig::fastPath in both
-    // directions.
-    setenv("VCOMA_FASTPATH", "0", 1);
-    {
-        MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-        cfg.fastPath = true;
-        Machine machine(cfg);
-        EXPECT_FALSE(machine.fastPathActive());
-    }
-    setenv("VCOMA_FASTPATH", "1", 1);
-    {
-        MachineConfig cfg = tinyConfig(Scheme::VCOMA);
-        cfg.fastPath = false;
-        Machine machine(cfg);
-        EXPECT_TRUE(machine.fastPathActive());
-    }
-    unsetenv("VCOMA_FASTPATH");
+    expectIdentical(fast, slow);
 }
 
 TEST(FastPathCheckLevel, DeepCheckingDisablesFastPath)

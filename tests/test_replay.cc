@@ -145,9 +145,6 @@ class ReplayIdentity : public ::testing::TestWithParam<Case>
 TEST_P(ReplayIdentity, ReplayedRunIsByteIdenticalToLiveRun)
 {
     const auto [workload, fastPath] = GetParam();
-    // The config knob must decide the path, not the caller's
-    // environment.
-    EnvGuard env("VCOMA_FASTPATH", nullptr);
 
     TempDir dir;
     const std::string trace = (dir.path / "run.vctrace").string();

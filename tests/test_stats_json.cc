@@ -273,8 +273,9 @@ TEST(StatsJson, TraceIsValidJsonWithMonotonicTracks)
                                           e.at("tid").asUint());
         const double ts = e.at("ts").asNumber();
         auto it = last.find(track);
-        if (it != last.end())
+        if (it != last.end()) {
             EXPECT_GE(ts, it->second);
+        }
         last[track] = ts;
         const std::string &name = e.at("name").asString();
         if (name == "remoteRead" || name == "remoteWrite" ||

@@ -9,8 +9,6 @@ Commands:
   dashboard       build the BENCH_*.json history dashboard alone
   check-stats     validate stats JSONL, traces and reports
                   (vcoma_sweep.checks.stats)
-  check-perf      gate BENCH_perf_core.json against the baseline
-                  (vcoma_sweep.checks.perf)
 
 `run` is the push-button paper pipeline:
 
@@ -33,7 +31,6 @@ from . import collect as C
 from . import dashboard as D
 from . import render as R
 from . import submit as B
-from .checks import perf as check_perf
 from .checks import stats as check_stats
 from .spec import SpecError, load_spec
 
@@ -94,7 +91,6 @@ def cmd_run(args):
         bench_root = args.bench_root or "."
         _text, current, stale = D.build_dashboard(
             bench_root,
-            baseline_path=args.baseline,
             out_path=os.path.join(out_dir, "dashboard.html"))
         say(f"dashboard: {current} bench report(s), {stale} stale "
             f"-> {os.path.join(out_dir, 'dashboard.html')}")
@@ -116,9 +112,8 @@ def cmd_render(args):
 
 
 def cmd_dashboard(args):
-    _text, current, stale = D.build_dashboard(
-        args.bench_root, baseline_path=args.baseline,
-        out_path=args.out)
+    _text, current, stale = D.build_dashboard(args.bench_root,
+                                              out_path=args.out)
     say(f"dashboard: {current} bench report(s), {stale} stale "
         f"-> {args.out}")
 
@@ -144,9 +139,6 @@ def main(argv=None):
     p.add_argument("--no-dashboard", action="store_true")
     p.add_argument("--bench-root", default=None,
                    help="tree to scan for BENCH_*.json (default .)")
-    p.add_argument("--baseline", default=None,
-                   help="perf baseline (default "
-                        "<bench-root>/bench/perf_baseline.json)")
     add_batch_flag(p)
     p.set_defaults(func=cmd_run)
 
@@ -171,21 +163,18 @@ def main(argv=None):
     p = sub.add_parser("dashboard", help="BENCH_*.json history -> "
                                          "dashboard.html")
     p.add_argument("--bench-root", default=".")
-    p.add_argument("--baseline", default=None)
     p.add_argument("--out", default="dashboard.html")
     p.set_defaults(func=cmd_dashboard)
 
-    # The folded-in CI validators keep their own argparse surfaces.
+    # The folded-in CI validator keeps its own argparse surface.
     known = {"run", "expand", "collect", "render", "dashboard"}
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] == "check-stats":
         return check_stats.main(argv[1:])
-    if argv and argv[0] == "check-perf":
-        return check_perf.main(argv[1:])
     if argv and argv[0] not in known and argv[0] not in (
             "-h", "--help"):
         die(f"unknown command {argv[0]!r} (run, expand, collect, "
-            "render, dashboard, check-stats, check-perf)")
+            "render, dashboard, check-stats)")
 
     args = ap.parse_args(argv)
     try:

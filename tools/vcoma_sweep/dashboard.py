@@ -1,22 +1,17 @@
 """BENCH-history dashboard: every BENCH_*.json in a tree -> HTML.
 
 Each bench binary writes a BENCH_<name>.json report (bench_util.hh's
-BenchReport: wall time, executed-simulation count, named metrics,
+BenchReport: wall time, executed-simulation count and failure count,
 and -- since report schema 2 -- the format version plus the `git
 describe` of the build that produced it). The dashboard:
 
   * collects every report under a root directory;
   * **refuses stale formats**: a report without `schema == 2`/`git`
     predates the versioned format and is listed in a warning section
-    instead of being plotted into the tables, so a leftover file from
-    an old build can never masquerade as a current measurement;
-  * renders per-bench metric tables, and for every metric gated by
-    `bench/perf_baseline.json` the measured/baseline ratio with the
-    gate verdict (the same tolerance rule `vcoma_sweep.checks.perf`
-    enforces in CI);
-  * if a `perf_trajectory.jsonl` history file is present (the
-    perf-trajectory workflow appends one row per run), sparklines of
-    each gated metric across runs.
+    instead of among the benches, so a leftover file from an old
+    build can never masquerade as a current measurement;
+  * renders one line per bench: wall time, executed simulations,
+    failures and the build stamp.
 
 Pure stdlib; the output is a single self-contained dashboard.html.
 """
@@ -24,7 +19,6 @@ Pure stdlib; the output is a single self-contained dashboard.html.
 import glob
 import html
 import json
-import math
 import os
 
 #: The BenchReport format this dashboard understands. Reports with a
@@ -35,18 +29,9 @@ _CSS = """
 body { font-family: ui-sans-serif, system-ui, sans-serif;
        margin: 2em auto; max-width: 70em; color: #222; }
 h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.6em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #ccc; padding: 0.25em 0.6em;
-         font-size: 0.9em; text-align: right; }
-th { background: #f2f2f2; }
-td.name, th.name { text-align: left; font-family: ui-monospace,
-                   monospace; }
-.ok { color: #1a7a2e; font-weight: 600; }
-.bad { color: #b02323; font-weight: 600; }
 .stale { background: #fff3e0; border: 1px solid #e0a050;
          padding: 0.6em 1em; margin: 0.6em 0; }
 .meta { color: #666; font-size: 0.85em; }
-svg.spark { vertical-align: middle; }
 """
 
 
@@ -83,110 +68,21 @@ def classify_reports(paths):
     return current, stale
 
 
-def load_baseline(path):
-    """bench/perf_baseline.json -> (gates dict, tolerance)."""
-    try:
-        doc = _load(path)
-    except (OSError, ValueError):
-        return {}, 0.2
-    gates = doc.get("gates")
-    tolerance = doc.get("tolerance", 0.2)
-    return (gates if isinstance(gates, dict) else {}), tolerance
-
-
-def load_trajectory(root):
-    """perf_trajectory.jsonl rows (metric history), oldest first."""
-    path = os.path.join(root, "perf_trajectory.jsonl")
-    rows = []
-    if not os.path.exists(path):
-        return rows
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                continue
-    return rows
-
-
-def sparkline(values, width=120, height=24):
-    """Inline SVG sparkline of a metric history."""
-    pts = [v for v in values if isinstance(v, (int, float))
-           and math.isfinite(v)]
-    if len(pts) < 2:
-        return ""
-    lo, hi = min(pts), max(pts)
-    span = (hi - lo) or 1.0
-    step = width / (len(pts) - 1)
-    coords = " ".join(
-        f"{i * step:.1f},{height - 2 - (v - lo) / span * (height - 4):.1f}"
-        for i, v in enumerate(pts))
-    return (f'<svg class="spark" width="{width}" height="{height}">'
-            f'<polyline points="{coords}" fill="none" '
-            f'stroke="#4878d0" stroke-width="1.5"/></svg>')
-
-
-def _fmt_metric(v):
-    if v is None:
-        return '<span class="bad">null</span>'
-    if isinstance(v, float):
-        return f"{v:,.3f}"
-    return f"{v:,}"
-
-
-def _bench_section(doc, gates, tolerance, history):
+def _bench_section(doc):
     name = doc["bench"]
-    out = [f'<h2 id="{html.escape(name)}">{html.escape(name)}</h2>']
-    out.append(
-        f'<p class="meta">wall {doc.get("wall_ms", 0):,.0f} ms · '
-        f'{doc.get("executed", 0)} simulation(s) executed · '
-        f'{doc.get("failures", 0)} failure(s) · built at '
-        f'<code>{html.escape(str(doc.get("git")))}</code></p>')
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        return out
-    out.append("<table><tr><th class=\"name\">metric</th>"
-               "<th>value</th><th>baseline</th><th>ratio</th>"
-               "<th>gate</th><th>trend</th></tr>")
-    for key in sorted(metrics):
-        value = metrics[key]
-        floor = gates.get(key)
-        if floor:
-            ratio = (value / floor
-                     if isinstance(value, (int, float)) and floor
-                     else None)
-            good = ratio is not None and ratio >= 1.0 - tolerance
-            ratio_s = f"{ratio:.2f}x" if ratio is not None else "–"
-            gate_s = ("<span class=\"ok\">ok</span>" if good
-                      else "<span class=\"bad\">REGRESSION</span>")
-            floor_s = f"{floor:,.3f}"
-        else:
-            ratio_s, gate_s, floor_s = "–", "–", "–"
-        trend = sparkline([r.get("metrics", {}).get(key)
-                           for r in history]) or "–"
-        out.append(f'<tr><td class="name">{html.escape(key)}</td>'
-                   f"<td>{_fmt_metric(value)}</td><td>{floor_s}</td>"
-                   f"<td>{ratio_s}</td><td>{gate_s}</td>"
-                   f"<td>{trend}</td></tr>")
-    out.append("</table>")
-    return out
+    return [f'<h2 id="{html.escape(name)}">{html.escape(name)}</h2>',
+            f'<p class="meta">wall {doc.get("wall_ms", 0):,.0f} ms · '
+            f'{doc.get("executed", 0)} simulation(s) executed · '
+            f'{doc.get("failures", 0)} failure(s) · built at '
+            f'<code>{html.escape(str(doc.get("git")))}</code></p>']
 
 
-def build_dashboard(root, baseline_path=None, out_path=None):
+def build_dashboard(root, out_path=None):
     """Render dashboard.html for every report under @root.
 
     Returns (html text, number of current reports, number of stale).
     """
-    if baseline_path is None:
-        baseline_path = os.path.join(root, "bench",
-                                     "perf_baseline.json")
-    paths = find_reports(root)
-    current, stale = classify_reports(paths)
-    gates, tolerance = load_baseline(baseline_path)
-    history = load_trajectory(root)
+    current, stale = classify_reports(find_reports(root))
 
     parts = ["<!DOCTYPE html><html><head><meta charset=\"utf-8\">",
              "<title>V-COMA bench dashboard</title>",
@@ -194,9 +90,7 @@ def build_dashboard(root, baseline_path=None, out_path=None):
              "<h1>V-COMA bench dashboard</h1>",
              f'<p class="meta">{len(current)} current report(s), '
              f"{len(stale)} stale/unreadable, scanned under "
-             f"<code>{html.escape(os.path.abspath(root))}</code>. "
-             f"Gate tolerance {tolerance:.0%} below baseline "
-             f"(<code>{html.escape(baseline_path)}</code>).</p>"]
+             f"<code>{html.escape(os.path.abspath(root))}</code>.</p>"]
 
     if stale:
         parts.append('<div class="stale"><strong>Ignored '
@@ -212,8 +106,7 @@ def build_dashboard(root, baseline_path=None, out_path=None):
             f'{html.escape(doc["bench"])}</a>'
             for _p, doc in current) + "</p>")
         for _path, doc in current:
-            parts.extend(_bench_section(doc, gates, tolerance,
-                                        history))
+            parts.extend(_bench_section(doc))
     else:
         parts.append("<p>No current bench reports found. Run any "
                      "bench binary (they write BENCH_*.json beside "

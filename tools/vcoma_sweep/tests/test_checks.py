@@ -1,4 +1,4 @@
-"""The folded-in CI checkers, exercised through their main()s."""
+"""The folded-in CI checker, exercised through its main()."""
 
 import contextlib
 import io
@@ -7,23 +7,20 @@ import os
 import tempfile
 import unittest
 
-from vcoma_sweep.checks import perf as check_perf
 from vcoma_sweep.checks import stats as check_stats
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "fixtures", "smoke_results.jsonl")
-PERF_BASELINE = os.path.join(HERE, "..", "..", "..", "bench",
-                             "perf_baseline.json")
 
 
-def run_main(argv, main=check_stats.main):
-    """Run a checker's main, capturing (exit_code, stdout, stderr)."""
+def run_main(argv):
+    """Run check-stats' main, capturing (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     code = 0
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         try:
-            main(argv)
+            check_stats.main(argv)
         except SystemExit as e:
             code = e.code or 0
     return code, out.getvalue(), err.getvalue()
@@ -88,31 +85,6 @@ class BenchCheckTest(unittest.TestCase):
         code, _out, err = self.check(self.bench_doc(git=None))
         self.assertEqual(code, 1)
         self.assertIn("git stamp", err)
-
-
-class PerfCheckTest(unittest.TestCase):
-    """check-perf against the committed bench/perf_baseline.json."""
-
-    def check(self, **over):
-        metrics = {name: 1.0e6 for name in check_perf.EXPECTED_METRICS}
-        metrics["speedup"] = 2.5
-        metrics.update(over)
-        with tempfile.TemporaryDirectory() as d:
-            p = os.path.join(d, "BENCH_perf_core.json")
-            with open(p, "w", encoding="utf-8") as f:
-                json.dump({"bench": "perf_core", "metrics": metrics}, f)
-            return run_main(["--report", p, "--baseline", PERF_BASELINE],
-                            main=check_perf.main)
-
-    def test_expected_metrics_pass_every_gate(self):
-        code, out, err = self.check()
-        self.assertEqual(code, 0, err)
-        self.assertIn("perf trajectory OK", out)
-
-    def test_speedup_regression_fails(self):
-        code, _out, err = self.check(speedup=1.0)
-        self.assertEqual(code, 1)
-        self.assertIn("speedup regressed", err)
 
 
 if __name__ == "__main__":

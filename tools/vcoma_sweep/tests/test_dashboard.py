@@ -1,4 +1,4 @@
-"""Dashboard: report classification, gating and HTML assembly."""
+"""Dashboard: report classification and HTML assembly."""
 
 import json
 import os
@@ -17,10 +17,9 @@ def write(path, doc):
             json.dump(doc, f)
 
 
-def current_report(name="fig8", **metrics):
+def current_report(name="fig8"):
     return {"bench": name, "schema": D.BENCH_SCHEMA, "git": "abc1234",
-            "wall_ms": 12.0, "executed": 3, "failures": 0,
-            "metrics": metrics or {"m": 1.0}}
+            "wall_ms": 12.0, "executed": 3, "failures": 0}
 
 
 class ClassifyTest(unittest.TestCase):
@@ -48,66 +47,27 @@ class ClassifyTest(unittest.TestCase):
 
 
 class BuildTest(unittest.TestCase):
-    def test_dashboard_flags_stale_and_gates_metrics(self):
+    def test_dashboard_flags_stale_reports(self):
         with tempfile.TemporaryDirectory() as d:
-            write(os.path.join(d, "BENCH_perf.json"),
-                  current_report("perf", sims_per_sec=50.0,
-                                 ungated=7.0))
+            write(os.path.join(d, "BENCH_fig8.json"), current_report())
             write(os.path.join(d, "BENCH_old.json"),
                   {"bench": "old", "schema": 1, "wall_ms": 1.0,
                    "executed": 0, "failures": 0})
-            baseline = os.path.join(d, "baseline.json")
-            write(baseline, {"gates": {"sims_per_sec": 100.0},
-                             "tolerance": 0.2})
             out = os.path.join(d, "dashboard.html")
             text, n_current, n_stale = D.build_dashboard(
-                d, baseline_path=baseline, out_path=out)
+                d, out_path=out)
             self.assertTrue(os.path.getsize(out))
         self.assertEqual((n_current, n_stale), (1, 1))
-        self.assertIn("REGRESSION", text)       # 50 < 100 * 0.8
-        self.assertIn("0.50x", text)
         self.assertIn("BENCH_old.json", text)   # listed as ignored
         self.assertIn("abc1234", text)          # git stamp surfaced
+        self.assertIn("3 simulation(s) executed", text)
         self.assertIn("Ignored", text)
-
-    def test_metric_within_tolerance_is_ok(self):
-        with tempfile.TemporaryDirectory() as d:
-            write(os.path.join(d, "BENCH_perf.json"),
-                  current_report("perf", sims_per_sec=90.0))
-            baseline = os.path.join(d, "baseline.json")
-            write(baseline, {"gates": {"sims_per_sec": 100.0},
-                             "tolerance": 0.2})
-            text, _c, _s = D.build_dashboard(d, baseline_path=baseline)
-        self.assertIn(">ok<", text)
-        self.assertNotIn("REGRESSION", text)
 
     def test_empty_tree(self):
         with tempfile.TemporaryDirectory() as d:
             text, n_current, n_stale = D.build_dashboard(d)
         self.assertEqual((n_current, n_stale), (0, 0))
         self.assertIn("No current bench reports", text)
-
-    def test_trajectory_sparkline(self):
-        with tempfile.TemporaryDirectory() as d:
-            write(os.path.join(d, "BENCH_perf.json"),
-                  current_report("perf", sims_per_sec=90.0))
-            with open(os.path.join(d, "perf_trajectory.jsonl"), "w",
-                      encoding="utf-8") as f:
-                for v in (80.0, 85.0, 90.0):
-                    f.write(json.dumps(
-                        {"metrics": {"sims_per_sec": v}}) + "\n")
-            text, _c, _s = D.build_dashboard(d)
-        self.assertIn('class="spark"', text)
-
-
-class SparklineTest(unittest.TestCase):
-    def test_needs_two_finite_points(self):
-        self.assertEqual(D.sparkline([1.0]), "")
-        self.assertEqual(D.sparkline([None, 1.0]), "")
-        self.assertIn("polyline", D.sparkline([1.0, 2.0, 1.5]))
-
-    def test_flat_series_does_not_divide_by_zero(self):
-        self.assertIn("polyline", D.sparkline([3.0, 3.0, 3.0]))
 
 
 if __name__ == "__main__":
