@@ -461,14 +461,8 @@ Machine::collect(Workload &workload, std::vector<CpuStats> cpus,
             ShadowPoint point;
             point.entries = entries;
             point.assoc = assoc;
-            for (const auto &nodePtr : nodes_) {
-                const Tlb *tlb = nodePtr->shadow.find(entries, assoc);
-                VCOMA_ASSERT(tlb != nullptr);
-                point.demandAccesses += tlb->demandAccesses.value();
-                point.demandMisses += tlb->demandMisses.value();
-                point.writebackAccesses += tlb->writebackAccesses.value();
-                point.writebackMisses += tlb->writebackMisses.value();
-            }
+            for (const auto &nodePtr : nodes_)
+                point += nodePtr->shadow.counts(entries, assoc);
             stats.shadow.push_back(point);
         }
     }

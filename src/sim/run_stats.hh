@@ -18,6 +18,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "tlb/shadow_bank.hh"
 
 namespace vcoma
 {
@@ -45,22 +46,10 @@ struct CpuStats
 };
 
 /** One (size, organisation) point of the shadow sweep, machine-wide. */
-struct ShadowPoint
+struct ShadowPoint : ShadowCounts
 {
     unsigned entries = 0;
     unsigned assoc = 0;  ///< 0 = fully associative
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandMisses = 0;
-    std::uint64_t writebackAccesses = 0;
-    std::uint64_t writebackMisses = 0;
-
-    std::uint64_t misses() const { return demandMisses + writebackMisses; }
-
-    std::uint64_t
-    accesses() const
-    {
-        return demandAccesses + writebackAccesses;
-    }
 };
 
 /** Everything a run reports. */

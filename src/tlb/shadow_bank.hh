@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "tlb/tlb.hh"
 
 namespace vcoma
@@ -26,72 +27,117 @@ namespace vcoma
 const std::vector<unsigned> &shadowSizes();
 
 /**
- * One node's (or one home's) collection of shadow TLBs: every size in
- * shadowSizes(), each in fully associative and direct-mapped flavours.
+ * Access and miss counts of one shadow member, or their sum over the
+ * banks of one translation point.
  */
-class ShadowBank
-{
-  public:
-    /**
-     * @param seed base seed (each member derives its own stream)
-     * @param sizes entry counts to instantiate, each at least 1;
-     *              defaults to shadowSizes()
-     */
-    explicit ShadowBank(std::uint64_t seed,
-                        const std::vector<unsigned> &sizes = shadowSizes(),
-                        unsigned indexShift = 0);
-
-    /**
-     * Feed one reference to every member TLB. Members change only
-     * here, so a repeat of the previous page hits in every member and
-     * just bumps their access counters.
-     */
-    void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
-
-    /** Find the member with @p entries and associativity @p assoc. */
-    const Tlb *find(unsigned entries, unsigned assoc) const;
-
-    const std::vector<Tlb> &members() const { return members_; }
-
-  private:
-    /**
-     * Flat member storage: every access() touches every member, so
-     * keeping the Tlbs contiguous (rather than behind one pointer
-     * indirection each) matters on the per-reference shadow path.
-     */
-    std::vector<Tlb> members_;
-    /** Page of the previous access(): resident in every member. */
-    PageNum last_ = Tlb::noVpn;
-};
-
-/**
- * Aggregated view over the per-node banks of one translation point:
- * total misses/accesses for a given (size, organisation) across all
- * nodes.
- */
-struct ShadowTotals
+struct ShadowCounts
 {
     std::uint64_t demandAccesses = 0;
     std::uint64_t demandMisses = 0;
     std::uint64_t writebackAccesses = 0;
     std::uint64_t writebackMisses = 0;
 
-    std::uint64_t
-    misses() const
-    {
-        return demandMisses + writebackMisses;
-    }
+    std::uint64_t misses() const { return demandMisses + writebackMisses; }
 
     std::uint64_t
     accesses() const
     {
         return demandAccesses + writebackAccesses;
     }
+
+    ShadowCounts &
+    operator+=(const ShadowCounts &o)
+    {
+        demandAccesses += o.demandAccesses;
+        demandMisses += o.demandMisses;
+        writebackAccesses += o.writebackAccesses;
+        writebackMisses += o.writebackMisses;
+        return *this;
+    }
 };
 
-/** Sum the counters of every bank's member matching (entries, assoc). */
-ShadowTotals sumShadow(const std::vector<ShadowBank> &banks,
-                       unsigned entries, unsigned assoc);
+/**
+ * One node's (or one home's) collection of shadow TLBs: every size in
+ * shadowSizes(), each in fully associative and direct-mapped flavours.
+ *
+ * Each member behaves exactly like a Tlb of its geometry seeded with
+ * `seed + 31 * n` (n = 1, 2, ... in member order), but the bank keeps
+ * one residency index for all of them. Members are pure observers:
+ * they change only through access() and are never invalidated, and a
+ * hit changes no state in either organisation (FA replacement is
+ * random, DM has one way). So one probe of a `vpn -> member mask`
+ * table decides every member's hit, and only the members that miss
+ * run their fill, drawing victims from their own RNG over their own
+ * slot array exactly as the Tlb does.
+ */
+class ShadowBank
+{
+  public:
+    /**
+     * @param seed base seed (each member derives its own stream)
+     * @param sizes entry counts to instantiate, each at least 1 and a
+     *              power of two for the direct-mapped member; at most
+     *              maxMembers / 2 sizes. Defaults to shadowSizes().
+     * @param indexShift low vpn bits the direct-mapped members skip
+     *              when selecting the set (see Tlb)
+     */
+    explicit ShadowBank(std::uint64_t seed,
+                        const std::vector<unsigned> &sizes = shadowSizes(),
+                        unsigned indexShift = 0);
+
+    /** Feed one reference to every member. */
+    void access(PageNum vpn, StreamClass cls = StreamClass::Demand);
+
+    /**
+     * Counters of the member with @p entries and associativity
+     * @p assoc (0 = FA, 1 = DM); fatal if the bank has no such member.
+     */
+    ShadowCounts counts(unsigned entries, unsigned assoc) const;
+
+    /** Members one bank can hold: one bit each in the residency mask. */
+    static constexpr unsigned maxMembers = 16;
+
+  private:
+    using MemberMask = std::uint16_t;
+
+    struct Member
+    {
+        unsigned entries;
+        unsigned assoc;        ///< 0 = fully associative, 1 = DM
+        unsigned base;         ///< first slot in slots_
+        unsigned filled = 0;   ///< FA: slots taken so far (in order)
+        Rng rng;               ///< FA: random replacement stream
+        std::uint64_t demandMisses = 0;
+        std::uint64_t writebackMisses = 0;
+    };
+
+    std::vector<Member> members_;
+    /** Every member's slots, member after member (noVpn = empty). */
+    std::vector<PageNum> slots_;
+    unsigned indexShift_;
+    MemberMask allMembers_ = 0;
+
+    // Residency index: for every page resident in at least one member,
+    // which members hold it. Open-addressed over parallel vpn/mask
+    // arrays of power-of-two size at least twice the total member
+    // entries (so at most half full), Fibonacci hashing, linear
+    // probing and backward-shift erase, like Tlb's FA index.
+    std::vector<PageNum> indexVpn_;
+    std::vector<MemberMask> indexMask_;
+    unsigned hashShift_ = 0;
+
+    /** Every member sees every access, so two counters serve all. */
+    std::uint64_t demandAccesses_ = 0;
+    std::uint64_t writebackAccesses_ = 0;
+    /** Page of the previous access(): resident in every member. */
+    PageNum last_ = Tlb::noVpn;
+
+    /** Index position holding @p vpn, or the empty one ending its probe. */
+    std::size_t indexFind(PageNum vpn) const;
+    void indexErase(std::size_t pos);
+    /** Fill @p vpn into member @p m; returns the page evicted, or noVpn. */
+    PageNum fill(Member &m, PageNum vpn);
+};
 
 } // namespace vcoma
 

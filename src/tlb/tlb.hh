@@ -62,21 +62,6 @@ class Tlb
     bool access(PageNum vpn, StreamClass cls = StreamClass::Demand,
                 PageNum *evictedOut = nullptr);
 
-    /**
-     * Count a hit on @p cls without a lookup. For callers that know
-     * the page is resident because it was the last one accessed and
-     * nothing has been invalidated or flushed since (ShadowBank's
-     * same-page memo).
-     */
-    void
-    countHit(StreamClass cls)
-    {
-        if (cls == StreamClass::Demand)
-            ++demandAccesses;
-        else
-            ++writebackAccesses;
-    }
-
     /** Presence probe without statistics or replacement effects. */
     bool contains(PageNum vpn) const;
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -128,6 +130,17 @@ struct TlbParam
     unsigned assoc;
 };
 
+/**
+ * Without a printer gtest shows a TlbParam by its bytes, and ctest
+ * names each case after that dump.
+ */
+void
+PrintTo(const TlbParam &p, std::ostream *os)
+{
+    *os << p.entries << " entries, "
+        << Tlb(p.entries, p.assoc, 0).organisation();
+}
+
 class TlbProperty : public ::testing::TestWithParam<TlbParam>
 {
 };
@@ -183,7 +196,11 @@ INSTANTIATE_TEST_SUITE_P(
     Organisations, TlbProperty,
     ::testing::Values(TlbParam{8, 0}, TlbParam{8, 1}, TlbParam{32, 0},
                       TlbParam{32, 1}, TlbParam{64, 2}, TlbParam{128, 0},
-                      TlbParam{128, 1}, TlbParam{512, 0}));
+                      TlbParam{128, 1}, TlbParam{512, 0}),
+    [](const ::testing::TestParamInfo<TlbParam> &info) {
+        return "e" + std::to_string(info.param.entries) + "_a" +
+               std::to_string(info.param.assoc);
+    });
 
 // ---------------------------------------------------------------------
 // Shadow banks.
@@ -193,10 +210,11 @@ TEST(ShadowBank, HasEverySizeInBothOrganisations)
 {
     ShadowBank bank(1);
     for (unsigned size : shadowSizes()) {
-        EXPECT_NE(bank.find(size, 0), nullptr);
-        EXPECT_NE(bank.find(size, 1), nullptr);
+        EXPECT_NO_THROW(bank.counts(size, 0));
+        EXPECT_NO_THROW(bank.counts(size, 1));
     }
-    EXPECT_EQ(bank.find(9999, 0), nullptr);
+    EXPECT_THROW(bank.counts(9999, 0), FatalError);
+    EXPECT_THROW(bank.counts(8, 2), FatalError);
 }
 
 TEST(ShadowBank, FeedsAllMembers)
@@ -204,9 +222,12 @@ TEST(ShadowBank, FeedsAllMembers)
     ShadowBank bank(1);
     bank.access(42);
     bank.access(42);
-    for (const auto &tlb : bank.members()) {
-        EXPECT_EQ(tlb.demandAccesses.value(), 2u);
-        EXPECT_EQ(tlb.demandMisses.value(), 1u);
+    for (unsigned size : shadowSizes()) {
+        for (unsigned assoc : {0u, 1u}) {
+            const ShadowCounts c = bank.counts(size, assoc);
+            EXPECT_EQ(c.demandAccesses, 2u);
+            EXPECT_EQ(c.demandMisses, 1u);
+        }
     }
 }
 
@@ -216,45 +237,109 @@ TEST(ShadowBank, RejectsZeroSizedMember)
     EXPECT_NO_THROW(ShadowBank(1, {1, 4}));
 }
 
+TEST(ShadowBank, RejectsMoreMembersThanMaskBits)
+{
+    // Two members per size, one mask bit per member.
+    std::vector<unsigned> sizes;
+    for (unsigned i = 0; i < ShadowBank::maxMembers / 2; ++i)
+        sizes.push_back(1u << i);
+    EXPECT_NO_THROW(ShadowBank(1, sizes));
+    sizes.push_back(1u << sizes.size());
+    EXPECT_THROW(ShadowBank(1, sizes), FatalError);
+}
+
+namespace
+{
+
 /**
- * The bank's same-page memo skips the member lookups on a repeated
- * page; standalone Tlbs seeded the way the bank seeds its members
- * must count exactly the same.
+ * Power-of-two direct-mapped members with nested index bits obey
+ * inclusion when nothing is invalidated: a page resident in the
+ * N-entry member is the last one referenced among those mapping to
+ * its set, so it is also resident in the 2N-entry member. A hit at N
+ * is a hit at 2N, so the bigger member never misses more.
+ */
+void
+expectDirectMappedInclusion(const ShadowBank &bank,
+                            const std::vector<unsigned> &sizes)
+{
+    for (unsigned n : sizes) {
+        if (std::find(sizes.begin(), sizes.end(), 2 * n) == sizes.end())
+            continue;
+        const ShadowCounts small = bank.counts(n, 1);
+        const ShadowCounts big = bank.counts(2 * n, 1);
+        EXPECT_GE(small.demandMisses, big.demandMisses) << "DM " << n;
+        EXPECT_GE(small.writebackMisses, big.writebackMisses) << "DM " << n;
+    }
+}
+
+} // namespace
+
+/**
+ * The bank's one residency index and same-page memo must count
+ * exactly like standalone Tlbs seeded the way the bank seeds its
+ * members (`seed + 31 * n`), over long streams: phases with working
+ * sets from 4 to 4,096 pages, random and looping, with runs of the
+ * same page and both stream classes; default sizes at index shift 0
+ * and at a 32-node V-COMA home (shift 5, pages of one home), and a
+ * custom size list.
  */
 TEST(ShadowBank, MemoMatchesStandaloneMembers)
 {
-    const std::uint64_t seed = 77;
-    ShadowBank bank(seed);
-    std::vector<Tlb> solo;
-    std::uint64_t n = 0;
-    for (unsigned entries : shadowSizes()) {
-        solo.emplace_back(entries, 0, seed + 31 * ++n);
-        solo.emplace_back(entries, 1, seed + 31 * ++n);
-    }
-    ASSERT_EQ(solo.size(), 14u);
-    ASSERT_EQ(bank.members().size(), solo.size());
-
-    Rng rng(5);
-    for (int i = 0; i < 20000;) {
-        const PageNum vpn = rng.below(1200);
-        const int run = 1 + static_cast<int>(rng.below(6));
-        for (int r = 0; r < run; ++r, ++i) {
-            const StreamClass cls = rng.below(4) == 0
-                                        ? StreamClass::Writeback
-                                        : StreamClass::Demand;
-            bank.access(vpn, cls);
-            for (Tlb &tlb : solo)
-                tlb.access(vpn, cls);
+    struct Case
+    {
+        std::vector<unsigned> sizes;
+        unsigned indexShift;
+    };
+    const Case cases[] = {{shadowSizes(), 0}, {shadowSizes(), 5}, {{1, 4}, 0}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE("shift " + std::to_string(c.indexShift) + ", " +
+                     std::to_string(c.sizes.size()) + " sizes");
+        const std::uint64_t seed = 77 + c.indexShift;
+        ShadowBank bank(seed, c.sizes, c.indexShift);
+        std::vector<Tlb> solo;
+        std::uint64_t n = 0;
+        for (unsigned entries : c.sizes) {
+            solo.emplace_back(entries, 0, seed + 31 * ++n, c.indexShift);
+            solo.emplace_back(entries, 1, seed + 31 * ++n, c.indexShift);
         }
-    }
-    for (std::size_t m = 0; m < solo.size(); ++m) {
-        const Tlb &a = bank.members()[m];
-        const Tlb &b = solo[m];
-        EXPECT_EQ(a.demandAccesses.value(), b.demandAccesses.value()) << m;
-        EXPECT_EQ(a.demandMisses.value(), b.demandMisses.value()) << m;
-        EXPECT_EQ(a.writebackAccesses.value(), b.writebackAccesses.value())
-            << m;
-        EXPECT_EQ(a.writebackMisses.value(), b.writebackMisses.value()) << m;
+
+        Rng rng(5 + c.indexShift);
+        const std::uint64_t home = c.indexShift ? 7 : 0;
+        std::uint64_t refs = 0;
+        while (refs < 1'000'000) {
+            // One phase: a working set of 4..4096 pages, placed at a
+            // random base and spread over the high vpn bits too.
+            const std::uint64_t ws = 4u << (2 * rng.below(6));
+            const std::uint64_t base = rng.below(1 << 20);
+            const bool looping = rng.below(2) == 0;
+            const std::uint64_t phase = 4 * ws + rng.below(20000);
+            for (std::uint64_t i = 0; i < phase;) {
+                const std::uint64_t k =
+                    base + (looping ? i % ws : rng.below(ws));
+                const PageNum vpn = (k << c.indexShift) | home;
+                const std::uint64_t run = 1 + rng.below(6);
+                for (std::uint64_t r = 0; r < run; ++r, ++i) {
+                    const StreamClass cls = rng.below(4) == 0
+                                                ? StreamClass::Writeback
+                                                : StreamClass::Demand;
+                    bank.access(vpn, cls);
+                    for (Tlb &tlb : solo)
+                        tlb.access(vpn, cls);
+                }
+            }
+            refs += phase;
+            expectDirectMappedInclusion(bank, c.sizes);
+        }
+
+        for (std::size_t m = 0; m < solo.size(); ++m) {
+            const Tlb &b = solo[m];
+            const ShadowCounts a = bank.counts(b.entries(), b.assoc());
+            SCOPED_TRACE(std::to_string(b.entries()) + " " + b.organisation());
+            EXPECT_EQ(a.demandAccesses, b.demandAccesses.value());
+            EXPECT_EQ(a.demandMisses, b.demandMisses.value());
+            EXPECT_EQ(a.writebackAccesses, b.writebackAccesses.value());
+            EXPECT_EQ(a.writebackMisses, b.writebackMisses.value());
+        }
     }
 }
 
@@ -266,14 +351,16 @@ TEST(ShadowBank, SumAcrossBanks)
     banks[0].access(1);
     banks[1].access(1);
     banks[1].access(2, StreamClass::Writeback);
-    const ShadowTotals t = sumShadow(banks, 8, 0);
+    ShadowCounts t;
+    for (const ShadowBank &bank : banks)
+        t += bank.counts(8, 0);
     EXPECT_EQ(t.demandAccesses, 2u);
     EXPECT_EQ(t.demandMisses, 2u);
     EXPECT_EQ(t.writebackMisses, 1u);
     EXPECT_EQ(t.misses(), 3u);
 }
 
-/** Bigger fully associative shadow members never miss more. */
+/** Bigger shadow members never miss more on a looping stream. */
 TEST(ShadowBank, SizeMonotonicityOnLoopingStream)
 {
     ShadowBank bank(5);
@@ -281,10 +368,11 @@ TEST(ShadowBank, SizeMonotonicityOnLoopingStream)
         bank.access((i * 13) % 300);
     std::uint64_t prev = ~std::uint64_t{0};
     for (unsigned size : shadowSizes()) {
-        const Tlb *tlb = bank.find(size, 0);
-        EXPECT_LE(tlb->misses(), prev) << "size " << size;
-        prev = tlb->misses();
+        const std::uint64_t misses = bank.counts(size, 0).misses();
+        EXPECT_LE(misses, prev) << "size " << size;
+        prev = misses;
     }
+    expectDirectMappedInclusion(bank, shadowSizes());
 }
 
 // ---------------------------------------------------------------------
