@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,17 +129,6 @@ struct TlbParam
     unsigned assoc;
 };
 
-/**
- * Without a printer gtest shows a TlbParam by its bytes, and ctest
- * names each case after that dump.
- */
-void
-PrintTo(const TlbParam &p, std::ostream *os)
-{
-    *os << p.entries << " entries, "
-        << Tlb(p.entries, p.assoc, 0).organisation();
-}
-
 class TlbProperty : public ::testing::TestWithParam<TlbParam>
 {
 };
@@ -196,11 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
     Organisations, TlbProperty,
     ::testing::Values(TlbParam{8, 0}, TlbParam{8, 1}, TlbParam{32, 0},
                       TlbParam{32, 1}, TlbParam{64, 2}, TlbParam{128, 0},
-                      TlbParam{128, 1}, TlbParam{512, 0}),
-    [](const ::testing::TestParamInfo<TlbParam> &info) {
-        return "e" + std::to_string(info.param.entries) + "_a" +
-               std::to_string(info.param.assoc);
-    });
+                      TlbParam{128, 1}, TlbParam{512, 0}));
 
 // ---------------------------------------------------------------------
 // Shadow banks.
